@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -107,6 +108,8 @@ def read_front_csv(path: str | Path) -> list[tuple[float, float, float | None]]:
             alpha = float(parts[2]) if len(parts) > 2 and parts[2].strip() else None
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+        if not all(math.isfinite(x) for x in (profit, time, alpha) if x is not None):
+            raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
         out.append((profit, time, alpha))
     return out
 
@@ -346,17 +349,18 @@ def _load_bounds(args: argparse.Namespace) -> ObjectiveBounds:
         gmin, gmax, hmin, hmax = args.bounds
     else:
         data = json.loads(Path(args.bounds_file).read_text(encoding="utf-8"))
-        if "bounds" in data:
+        if isinstance(data, dict) and "bounds" in data:
             data = data["bounds"]
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.bounds_file}: expected a JSON object holding the bounds")
         try:
             gmin, gmax, hmin, hmax = (
-                data["profit_min"],
-                data["profit_max"],
-                data["time_min"],
-                data["time_max"],
+                float(data[key]) for key in ("profit_min", "profit_max", "time_min", "time_max")
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ValueError(f"{args.bounds_file}: missing bounds field {exc}") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{args.bounds_file}: bounds must be numbers") from None
     if gmax < gmin or hmax < hmin:
         raise ValueError("bounds must satisfy min <= max on both objectives")
     return ObjectiveBounds(gmin, gmax, hmin, hmax)

@@ -24,7 +24,7 @@ import numpy as np
 from .archive import Archive
 from .evaluation import PackingPlan, Solution, Tour, TourContext, validate_solution
 from .instance import ProblemInstance
-from .packing import randomized_packing
+from .packing import pack_tour
 from .tour_search import (
     NeighborLists,
     average_pair_distance,
@@ -83,7 +83,6 @@ class WsmConfig:
     iterations: int | None = None
     seed: int = 0
     neighbor_count: int = 16
-    restrict_two_opt: bool = False
     debug_checks: bool = False
 
     def __post_init__(self) -> None:
@@ -180,7 +179,6 @@ def run(
     archive = Archive()
     neighbors = NeighborLists.build(inst, config.neighbor_count)
     ell = average_pair_distance(inst)
-    exploit_neighbors = neighbors if config.restrict_two_opt else None
 
     def offer(sol: Solution) -> bool:
         if config.debug_checks:
@@ -199,17 +197,13 @@ def run(
         # Exploration: one fresh tour, many randomized packings.
         tour = construct_tour(inst, rngs["tour"], neighbors=neighbors)
         ctx = TourContext(inst, tour)
-        for _ in range(config.packings_per_tour):
-            alpha = sample_alpha(config.alpha_dist, rngs["alpha"])
-            plan = randomized_packing(
-                inst,
-                tour,
-                config.packing_attempts,
-                alpha,
-                config.reeval_divisor,
-                rngs["packing"],
-                ctx=ctx,
-            )
+        alphas = [
+            sample_alpha(config.alpha_dist, rngs["alpha"]) for _ in range(config.packings_per_tour)
+        ]
+        plans = pack_tour(
+            inst, ctx, alphas, config.packing_attempts, config.reeval_divisor, rngs["packing"]
+        )
+        for alpha, plan in zip(alphas, plans):
             offer(
                 Solution(tour, plan, ctx.profit(plan.selected), ctx.travel_time(plan.selected), alpha)
             )
@@ -218,14 +212,7 @@ def run(
         alpha = sample_alpha(config.alpha_dist, rngs["alpha"])
         pivot = archive.best_for_alpha(alpha, inst.renting_rate).solution
         if config.two_opt_tolerance != NEG_INF:
-            improved = two_opt_exploit(
-                inst,
-                pivot,
-                alpha,
-                config.two_opt_tolerance,
-                ell,
-                neighbors=exploit_neighbors,
-            )
+            improved = two_opt_exploit(inst, pivot, alpha, config.two_opt_tolerance, ell)
             if improved is not None:
                 offer(Solution.evaluated(inst, improved, pivot.plan, alpha))
         bit_flip_exploit(

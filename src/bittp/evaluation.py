@@ -198,6 +198,12 @@ class TourContext:
         omega = np.cumsum(weight_by_pos)
         return float((self.leg / self._speeds(omega)).sum())
 
+    def row_times(self, weight_by_pos: np.ndarray) -> np.ndarray:
+        """Travel time of each row of per-position pickup weights; row i equals
+        ``time_from_positions(weight_by_pos[i])`` bit for bit."""
+        omega = np.cumsum(weight_by_pos, axis=1)
+        return (self.leg / self._speeds(omega)).sum(axis=1)
+
     def travel_time(self, selected: np.ndarray) -> float:
         return self.time_from_positions(self.weight_by_position(selected))
 

@@ -7,6 +7,10 @@ calls into the solver's evaluation or archive code paths:
 - exhaustive front enumeration over all directed tours x all plans
 - O(N^2) and sort-scan non-dominated filters
 - rectangle-sum hypervolume, brute-force best subset, Monte Carlo area
+
+The one exception is ``sequential_packing``: the packer's original
+attempt-by-attempt greedy loop, kept as the reference the lockstep packer
+must match bit for bit.  It prices plans with ``TourContext``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import itertools
 import math
 
 import numpy as np
+
+from bittp import PackingPlan, TourContext, reeval_period
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +210,86 @@ def monte_carlo_hypervolume(points, n_samples, rng):
     p = dominated.mean()
     se = math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
     return float(p), float(se)
+
+
+# ---------------------------------------------------------------------------
+# sequential packing reference (one attempt after another, scalar greedy)
+
+def sequential_packing(inst, tour, attempts, alpha, divisor, rng):
+    """Best plan over ``attempts`` randomized greedy constructions for ``tour``,
+    one attempt at a time, as the packer did before its attempts ran in
+    lockstep."""
+    ctx = TourContext(inst, tour)
+    m = inst.m
+    n = inst.n
+    weights = inst.weights
+    profits = inst.profits
+    capacity = inst.capacity
+    rent = inst.renting_rate
+    item_pos = ctx.item_pos
+    suffix = np.cumsum(ctx.leg[::-1])[::-1]
+    carry = suffix[item_pos]
+
+    def scalarized(g, wpos):
+        return alpha * g - (1.0 - alpha) * rent * ctx.time_from_positions(wpos)
+
+    empty_wpos = np.zeros(n)
+    best_selected = np.zeros(m, dtype=bool)
+    best_f = scalarized(0.0, empty_wpos)
+
+    for _ in range(attempts):
+        draws = rng.random(3)
+        while draws.sum() == 0.0:
+            draws = rng.random(3)
+        a, b, c = draws
+        total = a + b + c
+        a, b, c = a / total, b / total, c / total
+        scores = profits**a / (weights**b * carry**c)
+        order = np.lexsort((np.arange(m), -scores))
+        phi = reeval_period(m, divisor, alpha)
+
+        selected = np.zeros(m, dtype=bool)
+        wpos = np.zeros(n)
+        weight = 0.0
+        g = 0.0
+        committed_selected = selected.copy()
+        committed_wpos = wpos.copy()
+        committed_weight = 0.0
+        committed_g = 0.0
+        committed_f = scalarized(0.0, empty_wpos)
+        committed_rank = 1
+        pending = False
+
+        rank = 1
+        while rank <= m and phi >= 1:
+            item = order[rank - 1]
+            if not selected[item] and weight + weights[item] <= capacity:
+                selected[item] = True
+                weight += weights[item]
+                wpos[item_pos[item]] += weights[item]
+                g += profits[item]
+                pending = True
+            if pending and rank % phi == 0:
+                f = scalarized(g, wpos)
+                if f > committed_f:
+                    np.copyto(committed_selected, selected)
+                    np.copyto(committed_wpos, wpos)
+                    committed_weight = weight
+                    committed_g = g
+                    committed_f = f
+                    committed_rank = rank
+                else:
+                    np.copyto(selected, committed_selected)
+                    np.copyto(wpos, committed_wpos)
+                    weight = committed_weight
+                    g = committed_g
+                    rank = committed_rank
+                    phi //= 2
+                pending = False
+            rank += 1
+
+        if committed_f > best_f:
+            best_selected = committed_selected
+            best_f = committed_f
+
+    return PackingPlan(inst, best_selected)

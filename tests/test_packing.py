@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from bittp import (
     score_items,
     weighted_objective,
 )
+from bittp import TourContext, packing
+from bittp.packing import pack_tour
 
 from gen import random_instance
-from oracles import brute_best_plan_objective
+from oracles import brute_best_plan_objective, sequential_packing
 
 
 @pytest.fixture
@@ -201,3 +205,131 @@ def test_plan_invariants_property(seed, alpha):
     plan = randomized_packing(inst, tour, 3, alpha, int(rng.integers(1, 60)), rng)
     assert plan.total_weight <= inst.capacity
     assert plan.total_weight == float(inst.weights[plan.selected].sum())
+
+
+def _assert_matches_sequential(inst, tour, alphas, attempts, divisor, seed):
+    """pack_tour returns the plans of one sequential packing per alpha and
+    leaves its generator where the sequential packings leave theirs."""
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = [sequential_packing(inst, tour, attempts, a, divisor, rng_ref) for a in alphas]
+        got = pack_tour(inst, TourContext(inst, tour), alphas, attempts, divisor, rng_new)
+    assert len(got) == len(expected)
+    for want, plan in zip(expected, got):
+        assert np.array_equal(plan.selected, want.selected)
+        assert plan.total_weight == want.total_weight
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    m=st.integers(0, 24),
+    attempts=st.integers(1, 12),
+    divisor=st.integers(1, 60),
+    alphas=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0, allow_nan=False)),
+        min_size=1,
+        max_size=5,
+    ),
+    zero_profits=st.booleans(),
+    duplicates=st.booleans(),
+    coincident=st.booleans(),
+    tight=st.booleans(),
+    lane_cells=st.sampled_from([1, 40, 200, packing.LANE_CELLS]),
+    chunk_cells=st.sampled_from([1, 30, packing.CHUNK_CELLS]),
+)
+def test_pack_tour_matches_sequential_property(
+    seed, n, m, attempts, divisor, alphas, zero_profits, duplicates, coincident, tight,
+    lane_cells, chunk_cells,
+):
+    """Edge data (no items, zero profits, identical items whose scores tie,
+    zero carry distances, nothing fits, several items per city), lane
+    budgets too small for even one packing, and re-checks split into
+    chunks down to one lane."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n, m)
+    profits = inst.profits.copy()
+    weights = inst.weights.copy()
+    item_city = inst.item_city.copy()
+    coords = inst.coords.copy()
+    capacity = inst.capacity
+    if duplicates and m:
+        copy_of = rng.integers(0, max(1, m // 3), size=m)
+        profits, weights, item_city = profits[copy_of], weights[copy_of], item_city[copy_of]
+    if zero_profits:
+        profits[rng.random(m) < 0.5] = 0.0
+    if coincident:
+        coords[rng.random(n) < 0.5] = coords[0]
+    if tight and m:
+        capacity = float(weights.min()) / 2
+    inst = dataclasses.replace(
+        inst, profits=profits, weights=weights, item_city=item_city, coords=coords, capacity=capacity
+    )
+    tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, n)))))
+    saved = packing.LANE_CELLS, packing.CHUNK_CELLS
+    packing.LANE_CELLS, packing.CHUNK_CELLS = lane_cells, chunk_cells
+    try:
+        _assert_matches_sequential(inst, tour, alphas, attempts, divisor, seed + 1)
+    finally:
+        packing.LANE_CELLS, packing.CHUNK_CELLS = saved
+
+
+def test_pack_tour_refills_rows_at_default_budget():
+    """More packings than the default budget holds in flight at once."""
+    rng = np.random.default_rng(7)
+    inst = random_instance(rng, 4000, 4000)
+    in_flight = packing.LANE_CELLS // (12 * 4000)
+    tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, inst.n)))))
+    alphas = [0.0, 1.0] + rng.random(in_flight + 2).tolist()
+    _assert_matches_sequential(inst, tour, alphas, 12, 41, 8)
+
+
+def test_pack_tour_ties_go_to_first_attempt(pi123):
+    """At alpha 1 either item alone scores 10, and which one an attempt keeps
+    depends on its exponents; the earliest attempt's plan must win."""
+    inst = ProblemInstance(
+        name="tie",
+        coords=[(0, 0), (3, 0), (0, 4)],
+        profits=[10, 10],
+        weights=[5, 6],
+        item_city=[1, 2],
+        capacity=6,
+        min_speed=0.1,
+        max_speed=1.0,
+        renting_rate=1.0,
+    )
+    chosen = set()
+    for seed in range(40):
+        _assert_matches_sequential(inst, pi123, [1.0, 1.0], 12, 41, seed)
+        first = pack_tour(inst, TourContext(inst, pi123), [1.0], 1, 41, np.random.default_rng(seed))
+        chosen.add(tuple(first[0].item_indices()))
+    assert chosen == {(0,), (1,)}
+
+
+def test_pack_tour_no_alphas_draws_nothing(toy3, pi123):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert pack_tour(toy3, TourContext(toy3, pi123), [], 12, 41, rng) == []
+    assert rng.bit_generator.state == before
+
+
+def test_pack_tour_rejects_any_alpha_out_of_range(toy3, pi123):
+    with pytest.raises(ValueError):
+        pack_tour(toy3, TourContext(toy3, pi123), [0.5, -0.1], 1, 41, np.random.default_rng(0))
+
+
+def test_row_times_match_time_from_positions():
+    """Row-wise travel times equal the 1-D evaluation bit for bit, also past
+    numpy's 8192-element reduction buffer."""
+    rng = np.random.default_rng(3)
+    for n in (2, 280, 9000):
+        inst = random_instance(rng, n, n - 1)
+        tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, n)))))
+        ctx = TourContext(inst, tour)
+        masks = [rng.random(inst.m) < p for p in (0.0, 0.1, 0.4, 1.0)]
+        rows = np.stack([ctx.weight_by_position(mask) for mask in masks]).astype(float)
+        want = [ctx.time_from_positions(r) for r in rows]
+        assert ctx.row_times(rows).tolist() == want
