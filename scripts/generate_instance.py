@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from bittp import ProblemInstance
-from bittp.cli import write_instance
+from bittp.instance import write_instance
 
 
 def make_instance(

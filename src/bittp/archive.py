@@ -20,6 +20,8 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .evaluation import scalarized
+
 Point = tuple[float, float]
 
 
@@ -119,7 +121,8 @@ class Archive:
         return True
 
     def best_for_alpha(self, alpha: float, renting_rate: float) -> Entry:
-        """Member maximizing alpha * profit - (1 - alpha) * R * time.
+        """Member maximizing the scalarized objective (see
+        :func:`~bittp.evaluation.scalarized`).
 
         Ties break toward lower time, then lower profit.
         """
@@ -130,8 +133,7 @@ class Archive:
         best = None
         best_key = None
         for g, h, s in zip(self._profits, self._times, self._solutions):
-            f = alpha * g - (1.0 - alpha) * renting_rate * h
-            key = (f, -h, -g)
+            key = (scalarized(alpha, g, h, renting_rate), -h, -g)
             if best_key is None or key > best_key:
                 best_key = key
                 best = Entry(g, h, s)

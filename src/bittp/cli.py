@@ -6,7 +6,11 @@ objective vectors, profit ascending, with the alpha in effect when each
 solution was first accepted), ``solutions.txt`` (tours and packing plans,
 1-based indices), and ``report.json`` (configuration echo, wall time,
 front sizes, normalization bounds, final hypervolume, and a per-second
-hypervolume trace).
+hypervolume trace).  With ``--runs k`` it makes k seeded runs one after
+another, seeds ``seed`` to ``seed + k - 1``, each with ``1/k`` of
+``--time-limit``, and merges their fronts in seed order; the report counts
+the cycles of every run, and each trace point is the hypervolume of the
+front merged so far.
 
 ``bittp hv`` scores one or more front CSVs against shared normalization
 bounds and prints the pairwise percentage variation
@@ -21,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import time as _time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -31,50 +35,14 @@ from .archive import Archive, ObjectiveBounds, Point, hypervolume, normalize, su
 from .driver import AlphaDistribution, CycleStats, WsmConfig, run
 from .evaluation import PackingPlan, Solution, Tour
 from .instance import InstanceError, ProblemInstance, load_instance
+# The benchmark (perfbench/run.py) and the acceptance tests import write_instance from here.
+from .instance import write_instance  # noqa: F401
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
 HV_REF = (0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Instance writing (round-trips through the parser)
-
-def format_instance(inst: ProblemInstance) -> str:
-    """Render an instance in the benchmark file layout."""
-    lines = [f"PROBLEM NAME: {inst.name}"]
-    if inst.knapsack_type is not None:
-        lines.append(f"KNAPSACK DATA TYPE: {inst.knapsack_type}")
-    lines.append(f"DIMENSION: {inst.n}")
-    lines.append(f"NUMBER OF ITEMS: {inst.m}")
-    lines.append(f"CAPACITY OF KNAPSACK: {_num(inst.capacity)}")
-    lines.append(f"MIN SPEED: {_num(inst.min_speed)}")
-    lines.append(f"MAX SPEED: {_num(inst.max_speed)}")
-    lines.append(f"RENTING RATIO: {_num(inst.renting_rate)}")
-    lines.append(f"EDGE_WEIGHT_TYPE: {inst.metric}")
-    lines.append("NODE_COORD_SECTION\t(INDEX, X, Y):")
-    for i, (x, y) in enumerate(inst.coords, start=1):
-        lines.append(f"{i} {_num(x)} {_num(y)}")
-    lines.append("ITEMS SECTION\t(INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):")
-    for j in range(inst.m):
-        lines.append(
-            f"{j + 1} {_num(inst.profits[j])} {_num(inst.weights[j])} {inst.item_city[j] + 1}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_instance(inst: ProblemInstance, path: str | Path) -> None:
-    Path(path).write_text(format_instance(inst), encoding="utf-8")
-
-
-def _num(x: float) -> str:
-    """Shortest lossless rendering; integral values print without a fraction."""
-    x = float(x)
-    if x.is_integer() and abs(x) < 2**53:
-        return str(int(x))
-    return repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +142,35 @@ class RunReport:
 
 
 class _TraceRecorder:
-    """Snapshots the archive front at roughly fixed wall-clock intervals."""
+    """The ``on_cycle`` callback of every run of a solve: counts cycles and
+    snapshots the front at roughly fixed intervals of one clock, which
+    starts when the recorder is made.
 
-    def __init__(self, interval: float = 1.0):
+    ``finished`` is the archive the solve merges its finished runs into.
+    A snapshot holds the front of ``finished`` and the running archive
+    together, so the trace never falls from one run to the next.
+    """
+
+    def __init__(self, interval: float = 1.0, finished: Archive | None = None):
         self.interval = interval
+        self.finished = Archive() if finished is None else finished
+        self.start = _time.perf_counter()
         self.snapshots: list[tuple[float, list[Point]]] = []
         self.cycles = 0
 
     def __call__(self, stats: CycleStats) -> None:
-        self.cycles = stats.cycle
-        due = not self.snapshots or stats.elapsed >= self.snapshots[-1][0] + self.interval
-        if due:
-            self.snapshots.append((stats.elapsed, stats.archive.points()))
+        self.cycles += 1
+        elapsed = _time.perf_counter() - self.start
+        if not self.snapshots or elapsed >= self.snapshots[-1][0] + self.interval:
+            self.snapshots.append((elapsed, self._front(stats.archive)))
+
+    def _front(self, running: Archive) -> list[Point]:
+        if not len(self.finished):
+            return running.points()
+        front = Archive()
+        front.merge(self.finished)
+        front.merge(running)
+        return front.points()
 
     def finalize(self, elapsed: float, archive: Archive) -> None:
         if not self.snapshots or self.snapshots[-1][0] < elapsed:
@@ -233,7 +218,7 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--max-solutions", type=int, help="cap the written front via subset selection")
     p.add_argument("--output-dir", default=".", help="directory for front.csv/solutions.txt/report.json")
-    p.add_argument("--runs", type=int, default=1, help="independent seeded runs to merge")
+    p.add_argument("--runs", type=int, default=1, help="seeded runs, made in turn and merged; they share --time-limit")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -265,29 +250,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
             iterations=args.iterations,
             seed=args.seed,
         )
+        per_run = config
+        if config.time_limit is not None:
+            per_run = replace(config, time_limit=config.time_limit / args.runs)
     except ValueError as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    import time as _time
-
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    configs = [replace(config, seed=config.seed + i) for i in range(args.runs)]
-    tracers = [_TraceRecorder() for _ in configs]
-    start = _time.perf_counter()
-    if args.runs == 1:
-        archives = [run(inst, configs[0], on_cycle=tracers[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=args.runs) as pool:
-            archives = list(pool.map(lambda ct: run(inst, ct[0], on_cycle=ct[1]), zip(configs, tracers)))
-    wall = _time.perf_counter() - start
-
-    merged = archives[0]
-    for other in archives[1:]:
-        merged.merge(other)
-    tracers[0].finalize(wall, merged)
+    merged = Archive()
+    tracer = _TraceRecorder(finished=merged)
+    for i in range(args.runs):
+        merged.merge(run(inst, replace(per_run, seed=config.seed + i), on_cycle=tracer))
+    wall = _time.perf_counter() - tracer.start
+    tracer.finalize(wall, merged)
 
     bounds = merged.bounds
     front_size = len(merged)
@@ -306,12 +284,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config={**asdict(config), "alpha_dist": config.alpha_dist.value},
         runs=args.runs,
         wall_time=wall,
-        cycles=tracers[0].cycles,
+        cycles=tracer.cycles,
         front_size=front_size,
         front_size_written=len(written),
         bounds=bounds.as_dict(),
         hypervolume=hv,
-        trace=tracers[0].hv_trace(bounds),
+        trace=tracer.hv_trace(bounds),
     )
 
     write_front_csv(out_dir / "front.csv", written)

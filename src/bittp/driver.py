@@ -82,7 +82,6 @@ class WsmConfig:
     time_limit: float | None = None
     iterations: int | None = None
     seed: int = 0
-    neighbor_count: int = 16
     debug_checks: bool = False
 
     def __post_init__(self) -> None:
@@ -100,8 +99,6 @@ class WsmConfig:
             raise ValueError("time_limit must be positive")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.neighbor_count < 1:
-            raise ValueError("neighbor_count must be >= 1")
 
 
 @dataclass
@@ -177,7 +174,7 @@ def run(
     """
     rngs = _spawn_streams(config.seed)
     archive = Archive()
-    neighbors = NeighborLists.build(inst, config.neighbor_count)
+    neighbors = NeighborLists.build(inst)
     ell = average_pair_distance(inst)
 
     def offer(sol: Solution) -> bool:

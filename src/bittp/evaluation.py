@@ -9,7 +9,9 @@ picked up.  A single scalar ``alpha`` in [0, 1] blends the objectives:
 
 with R the instance's renting rate.  ``alpha = 1`` scores pure profit and
 ``alpha = 0`` pure (rent-priced) time; both endpoints are exact in
-floating point given the shared evaluation path below.
+floating point given the shared evaluation path below.  :func:`scalarized`
+is the one place the blend is written: plans, pivots and archive members
+are all compared through it.
 """
 
 from __future__ import annotations
@@ -210,11 +212,6 @@ class TourContext:
     def profit(self, selected: np.ndarray) -> float:
         return float(self.inst.profits[selected].sum())
 
-    def objective(self, selected: np.ndarray, alpha: float) -> float:
-        g = self.profit(selected)
-        h = self.travel_time(selected)
-        return alpha * g - (1.0 - alpha) * self.inst.renting_rate * h
-
     def plan_times(self, selected: np.ndarray) -> PlanTimes:
         omega = np.cumsum(self.weight_by_position(selected))
         leg_time = self.leg / self._speeds(omega)
@@ -247,15 +244,22 @@ def total_profit(inst: ProblemInstance, plan: PackingPlan) -> float:
     return float(inst.profits[plan.selected].sum())
 
 
+def scalarized(alpha, profit, time, renting_rate):
+    """alpha * profit - (1 - alpha) * R * time, on floats or numpy arrays.
+
+    The operations run left to right, so an array call equals the scalar
+    call on each element bit for bit.
+    """
+    return alpha * profit - (1.0 - alpha) * renting_rate * time
+
+
 def weighted_objective(
     inst: ProblemInstance, tour: Tour, plan: PackingPlan, alpha: float
 ) -> float:
-    """Scalarized objective alpha * profit - (1 - alpha) * R * time."""
+    """Scalarized objective of ``plan`` on ``tour``; see :func:`scalarized`."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha {alpha} outside [0, 1]")
-    g = total_profit(inst, plan)
-    h = travel_time(inst, tour, plan)
-    return alpha * g - (1.0 - alpha) * inst.renting_rate * h
+    return scalarized(alpha, total_profit(inst, plan), travel_time(inst, tour, plan), inst.renting_rate)
 
 
 def validate_solution(

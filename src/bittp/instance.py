@@ -1,4 +1,4 @@
-"""Problem instances: parsing, validation, and the distance metric.
+"""Problem instances: parsing, writing, validation, and the distance metric.
 
 An instance couples a set of cities (a TSP layout) with a set of items
 (a knapsack), a speed range for the thief, and a renting rate that prices
@@ -215,8 +215,10 @@ def parse_instance(text: str) -> ProblemInstance:
             f"unsupported EDGE_WEIGHT_TYPE {metric!r}; expected one of {EDGE_WEIGHT_TYPES}"
         )
 
+    # Records are collected before the declared counts are trusted: a header
+    # may declare more records than the file holds, or than memory holds.
     pos += 1  # past NODE_COORD_SECTION
-    coords = np.zeros((max(n, 0), 2), dtype=np.float64)
+    coords: list[tuple[float, float]] = []
     seen = 0
     while pos < n_lines and seen < n:
         line = lines[pos].strip()
@@ -231,8 +233,7 @@ def parse_instance(text: str) -> ProblemInstance:
         idx = int(_parse_number(parts[0], pos + 1, int))
         if idx != seen + 1:
             raise MalformedRecordError(f"line {pos + 1}: city index {idx}, expected {seen + 1}")
-        coords[seen, 0] = _parse_number(parts[1], pos + 1, float)
-        coords[seen, 1] = _parse_number(parts[2], pos + 1, float)
+        coords.append((_parse_number(parts[1], pos + 1, float), _parse_number(parts[2], pos + 1, float)))
         seen += 1
         pos += 1
     if seen != n:
@@ -254,9 +255,9 @@ def parse_instance(text: str) -> ProblemInstance:
     elif m > 0:
         raise InconsistentCountsError(f"NUMBER OF ITEMS is {m} but ITEMS SECTION is missing")
 
-    profits = np.zeros(m, dtype=np.float64)
-    weights = np.zeros(m, dtype=np.float64)
-    item_city = np.zeros(m, dtype=np.int64)
+    profits: list[float] = []
+    weights: list[float] = []
+    item_city: list[int] = []
     seen = 0
     while pos < n_lines:
         line = lines[pos].strip()
@@ -289,9 +290,9 @@ def parse_instance(text: str) -> ProblemInstance:
             raise ItemAtDepotError(f"line {pos + 1}: item {idx} assigned to city 1")
         if not 1 <= city <= n:
             raise MalformedRecordError(f"line {pos + 1}: item city {city} out of range 1..{n}")
-        profits[seen] = profit
-        weights[seen] = weight
-        item_city[seen] = city - 1
+        profits.append(profit)
+        weights.append(weight)
+        item_city.append(city - 1)
         seen += 1
         pos += 1
     if seen != m:
@@ -299,10 +300,10 @@ def parse_instance(text: str) -> ProblemInstance:
 
     return ProblemInstance(
         name=header.get("PROBLEM NAME", ("unnamed", 0))[0],
-        coords=coords,
-        profits=profits,
-        weights=weights,
-        item_city=item_city,
+        coords=np.array(coords, dtype=np.float64).reshape(-1, 2),
+        profits=np.array(profits, dtype=np.float64),
+        weights=np.array(weights, dtype=np.float64),
+        item_city=np.array(item_city, dtype=np.int64),
         capacity=float(_parse_number(*header["CAPACITY OF KNAPSACK"][:2], kind=float)),
         min_speed=float(_parse_number(*header["MIN SPEED"][:2], kind=float)),
         max_speed=float(_parse_number(*header["MAX SPEED"][:2], kind=float)),
@@ -315,3 +316,39 @@ def parse_instance(text: str) -> ProblemInstance:
 def load_instance(path: str | Path) -> ProblemInstance:
     """Read and parse an instance file."""
     return parse_instance(Path(path).read_text(encoding="utf-8"))
+
+
+def format_instance(inst: ProblemInstance) -> str:
+    """Render an instance in the benchmark file layout."""
+    lines = [f"PROBLEM NAME: {inst.name}"]
+    if inst.knapsack_type is not None:
+        lines.append(f"KNAPSACK DATA TYPE: {inst.knapsack_type}")
+    lines.append(f"DIMENSION: {inst.n}")
+    lines.append(f"NUMBER OF ITEMS: {inst.m}")
+    lines.append(f"CAPACITY OF KNAPSACK: {_num(inst.capacity)}")
+    lines.append(f"MIN SPEED: {_num(inst.min_speed)}")
+    lines.append(f"MAX SPEED: {_num(inst.max_speed)}")
+    lines.append(f"RENTING RATIO: {_num(inst.renting_rate)}")
+    lines.append(f"EDGE_WEIGHT_TYPE: {inst.metric}")
+    lines.append("NODE_COORD_SECTION\t(INDEX, X, Y):")
+    for i, (x, y) in enumerate(inst.coords, start=1):
+        lines.append(f"{i} {_num(x)} {_num(y)}")
+    lines.append("ITEMS SECTION\t(INDEX, PROFIT, WEIGHT, ASSIGNED NODE NUMBER):")
+    for j in range(inst.m):
+        lines.append(
+            f"{j + 1} {_num(inst.profits[j])} {_num(inst.weights[j])} {inst.item_city[j] + 1}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def write_instance(inst: ProblemInstance, path: str | Path) -> None:
+    """Write ``inst`` to ``path``; :func:`load_instance` reads it back unchanged."""
+    Path(path).write_text(format_instance(inst), encoding="utf-8")
+
+
+def _num(x: float) -> str:
+    """Shortest lossless rendering; integral values print without a fraction."""
+    x = float(x)
+    if x.is_integer() and abs(x) < 2**53:
+        return str(int(x))
+    return repr(x)

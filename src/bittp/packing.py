@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import PackingPlan, Tour, TourContext
+from .evaluation import PackingPlan, Tour, TourContext, scalarized
 from .instance import ProblemInstance
 
 REEVAL_EPSILON = 1e-5
@@ -183,7 +183,7 @@ def pack_tour(
     order_flat, picked_flat = order.ravel(), picked.ravel()
     free = list(range(rows))
 
-    empty_f = [alpha * 0.0 - (1.0 - alpha) * rent * empty_time for alpha in alphas]
+    empty_f = [scalarized(alpha, 0.0, empty_time, rent) for alpha in alphas]
     best_f = list(empty_f)
     best_attempt = [-1] * len(alphas)
     best_items = [np.zeros(0, dtype=np.int32)] * len(alphas)
@@ -197,7 +197,7 @@ def pack_tour(
             del free[-attempts:]
             order[new] = _descending(_score_rows(inst, dist, _draw_exponents(rng, attempts)))
             picked[new] = False
-            s.admit(new, m, p, alpha, (1.0 - alpha) * rent, reeval_period(m, divisor, alpha), empty_f[p])
+            s.admit(new, m, p, alpha, reeval_period(m, divisor, alpha), empty_f[p])
 
         done = (s.rank > m) | (s.phi < 1)
         if done.any():
@@ -236,7 +236,7 @@ def pack_tour(
             for lanes in np.split(due, range(chunk, due.size, chunk)):
                 wpos = _pickup_weights(inst, item_pos, order, picked, s.row[lanes], s.rank[lanes].max())
                 times.append(ctx.row_times(wpos))
-            f = s.alpha[due] * s.profit[due] - s.rent_coef[due] * np.concatenate(times)
+            f = scalarized(s.alpha[due], s.profit[due], np.concatenate(times), rent)
             better = f > s.c_f[due]
             up = due[better]
             s.c_f[up] = f[better]
@@ -307,26 +307,26 @@ class _Lanes:
     """
 
     __slots__ = (
-        "row", "cell0", "packing", "attempt", "alpha", "rent_coef",
+        "row", "cell0", "packing", "attempt", "alpha",
         "rank", "phi", "weight", "profit", "pending",
         "c_picks", "c_weight", "c_profit", "c_f",
     )
 
     def __init__(self) -> None:
         none = np.zeros(0, dtype=np.int64)
-        fields = self._fresh(none, m=0, packing=0, alpha=0.0, rent_coef=0.0, phi=1, empty_f=0.0)
+        fields = self._fresh(none, m=0, packing=0, alpha=0.0, phi=1, empty_f=0.0)
         for name, value in fields.items():
             setattr(self, name, value)
 
     @staticmethod
     def _fresh(
-        rows: np.ndarray, m: int, packing: int, alpha: float, rent_coef: float, phi: int, empty_f: float
+        rows: np.ndarray, m: int, packing: int, alpha: float, phi: int, empty_f: float
     ) -> dict[str, np.ndarray]:
         k = rows.size
         return {
             "row": rows, "cell0": rows * m - 1,
             "packing": np.full(k, packing), "attempt": np.arange(k),
-            "alpha": np.full(k, alpha), "rent_coef": np.full(k, rent_coef),
+            "alpha": np.full(k, alpha),
             "rank": np.ones(k, dtype=np.int64), "phi": np.full(k, phi),
             "weight": np.zeros(k), "profit": np.zeros(k), "pending": np.zeros(k, dtype=bool),
             "c_picks": np.zeros(k, dtype=np.int64), "c_weight": np.zeros(k),

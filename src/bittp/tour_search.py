@@ -311,8 +311,6 @@ def two_opt_exploit(
     alpha: float,
     tolerance: float,
     avg_pair_distance: float,
-    *,
-    neighbors: NeighborLists | None = None,
 ) -> Tour | None:
     """Best admissible 2-opt neighbor of ``sol``'s tour, or None.
 
@@ -320,9 +318,7 @@ def two_opt_exploit(
     by at most ``tolerance * avg_pair_distance``; among admissible
     neighbors the one with the highest scalarized objective (same plan,
     same alpha) is returned if it strictly improves on the incumbent.
-    ``tolerance`` of -inf disables the scan.  Pass ``neighbors`` to
-    restrict candidates to nearest-neighbor edges instead of the full
-    O(n^2) enumeration.
+    ``tolerance`` of -inf disables the scan.
     """
     if tolerance == NEG_INF:
         return None
@@ -332,23 +328,14 @@ def two_opt_exploit(
         return None  # no proper 2-opt neighbor exists
     legs = inst.leg_lengths(order)
     limit = tolerance * avg_pair_distance
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
 
     best_f = weighted_objective(inst, sol.tour, sol.plan, alpha)
     best: Tour | None = None
     for i in range(1, n - 1):
         a = order[i - 1]
         b = order[i]
-        if neighbors is None:
-            cand = np.arange(i + 1, n)
-        else:
-            cand = np.sort(position[neighbors.indices[a]])
-            cand = cand[cand >= i + 1]
-        if i == 1 and cand.shape[0] and cand[-1] == n - 1:
-            cand = cand[:-1]  # (1, n-1) reverses the whole cycle: not a 2-opt move
-        if cand.shape[0] == 0:
-            continue
+        # (1, n-1) reverses the whole cycle: not a 2-opt move
+        cand = np.arange(i + 1, n - 1 if i == 1 else n)
         add1 = inst.distances_from(a, order[cand])
         add2 = inst.distances_from(b, order[(cand + 1) % n])
         delta = add1 + add2 - legs[i - 1] - legs[cand]

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bittp import total_profit, travel_time
-from bittp.cli import main, read_front_csv, read_solutions, write_instance
+from bittp.cli import main, read_front_csv, read_solutions
+from bittp.instance import write_instance
 
 from gen import random_instance
 
@@ -110,6 +112,14 @@ def test_malformed_instance_is_input_error(tmp_path):
     assert main(["solve", "--instance", str(bad), "--iterations", "3"]) == 2
 
 
+def test_huge_declared_count_is_input_error(toy3_file, tmp_path, capsys):
+    text = toy3_file.read_text()
+    bad = tmp_path / "huge.ttp"
+    bad.write_text(text.replace("DIMENSION: 3", "DIMENSION: 1000000000000"))
+    assert main(["solve", "--instance", str(bad), "--iterations", "3"]) == 2
+    assert "DIMENSION is 1000000000000" in capsys.readouterr().err
+
+
 def test_usage_errors(toy3_file, tmp_path):
     out = str(tmp_path / "o")
     # neither / both budgets
@@ -144,6 +154,31 @@ def test_multiple_runs_merge(toy3_file, tmp_path):
     assert profits == sorted(profits)
     report = json.loads((out / "report.json").read_text())
     assert report["runs"] == 3
+    assert report["cycles"] == 18  # every run's cycles, not run 0's
+    times = [t["time"] for t in report["trace"]]
+    hvs = [t["hypervolume"] for t in report["trace"]]
+    assert all(b > a for a, b in zip(times, times[1:]))
+    assert all(b >= a for a, b in zip(hvs, hvs[1:]))
+    assert hvs[-1] == report["hypervolume"]
+
+
+def test_runs_share_the_time_limit(toy3_file, tmp_path, monkeypatch):
+    import bittp.cli
+
+    solver_run = bittp.cli.run
+    calls = []
+
+    def recorded_run(inst, config, on_cycle=None):
+        calls.append((config.time_limit, config.seed))
+        return solver_run(inst, replace(config, time_limit=None, iterations=1), on_cycle)
+
+    monkeypatch.setattr(bittp.cli, "run", recorded_run)
+    out = tmp_path / "out"
+    assert _solve(toy3_file, out, "--time-limit", "0.5", "--seed", "7", "--runs", "2") == 0
+    assert calls == [(0.25, 7), (0.25, 8)]
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["time_limit"] == 0.5
+    assert report["cycles"] == 2
 
 
 def test_hv_command_identical_fronts(tmp_path, capsys):

@@ -15,6 +15,7 @@ from bittp import (
     weight_after,
     weighted_objective,
 )
+from bittp.evaluation import scalarized
 
 from gen import random_instance
 from oracles import naive_profit, naive_travel_time, naive_weight_after
@@ -126,6 +127,25 @@ def test_endpoint_exactness_sample(toy3, pi123):
     h = travel_time(toy3, pi123, plan)
     assert weighted_objective(toy3, pi123, plan, 1.0) == g
     assert weighted_objective(toy3, pi123, plan, 0.0) == -toy3.renting_rate * h
+
+
+_objective_value = st.floats(min_value=-1e12, max_value=1e12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1.0), _objective_value, _objective_value),
+        min_size=1,
+        max_size=20,
+    ),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+def test_scalarized_arrays_equal_scalar_calls(rows, rent):
+    alpha, profit, time = (np.array(col, dtype=np.float64) for col in zip(*rows))
+    got = scalarized(alpha, profit, time, rent)
+    want = np.array([scalarized(a, g, h, rent) for a, g, h in rows])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 def _random_case(rng, n_max=8, m_max=10):

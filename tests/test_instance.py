@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bittp import CEIL_2D, EUC_2D, ProblemInstance, parse_instance
-from bittp.cli import format_instance
 from bittp.instance import (
     InconsistentCountsError,
     InvalidInstanceError,
@@ -14,6 +13,7 @@ from bittp.instance import (
     MalformedRecordError,
     MissingHeaderFieldError,
     UnknownEdgeWeightTypeError,
+    format_instance,
 )
 
 MINIMAL = """\
@@ -85,6 +85,20 @@ def test_coord_count_mismatch_rejected():
     bad = MINIMAL.replace("DIMENSION: 3", "DIMENSION: 4")
     with pytest.raises(InconsistentCountsError):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("DIMENSION: 3", "DIMENSION: 1000000000000"),
+        ("NUMBER OF ITEMS: 2", "NUMBER OF ITEMS: 100000000000000"),
+        ("NUMBER OF ITEMS: 2", "NUMBER OF ITEMS: -1"),
+    ],
+)
+def test_declared_count_beyond_records_rejected(old, new):
+    # Counts no array could hold: the records are read before the count is used.
+    with pytest.raises(InconsistentCountsError):
+        parse_instance(MINIMAL.replace(old, new))
 
 
 @pytest.mark.parametrize("field", ["DIMENSION", "CAPACITY OF KNAPSACK", "MIN SPEED"])

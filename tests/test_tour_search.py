@@ -228,18 +228,3 @@ def test_two_opt_exploit_never_worse():
             assert weighted_objective(inst, got, sol.plan, 0.3) > weighted_objective(
                 inst, sol.tour, sol.plan, 0.3
             )
-
-
-def test_two_opt_exploit_candidate_restricted_mode():
-    rng = np.random.default_rng(4)
-    inst = random_instance(rng, 12, 4)
-    nbr = NeighborLists.build(inst, k=5)
-    order = np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
-    sol = Solution.evaluated(inst, Tour(order), PackingPlan.empty(inst), 0.0)
-    ell = average_pair_distance(inst)
-    got = two_opt_exploit(inst, sol, 0.0, 100.0, ell, neighbors=nbr)
-    if got is not None:
-        assert weighted_objective(inst, got, sol.plan, 0.0) > weighted_objective(
-            inst, sol.tour, sol.plan, 0.0
-        )
-        assert sorted(got.order.tolist()) == list(range(inst.n))
