@@ -108,6 +108,14 @@ class ProblemInstance:
             raise InvalidInstanceError("profits, weights, and item_city must have equal length")
         if self.metric not in EDGE_WEIGHT_TYPES:
             raise UnknownEdgeWeightTypeError(f"unsupported edge weight type {self.metric!r}")
+        if not np.isfinite(coords).all():
+            raise InvalidInstanceError("city coordinates must be finite")
+        if not (np.isfinite(profits).all() and np.isfinite(weights).all()):
+            raise InvalidInstanceError("item profits and weights must be finite")
+        for field in ("capacity", "min_speed", "max_speed", "renting_rate"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise InvalidInstanceError(f"{field} must be finite, got {value}")
         if not self.capacity > 0:
             raise InvalidInstanceError(f"capacity must be positive, got {self.capacity}")
         if not 0 < self.min_speed < self.max_speed:

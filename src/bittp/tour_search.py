@@ -3,26 +3,33 @@
 Construction is greedy nearest-neighbor from a uniformly random start
 city followed by a candidate-restricted 2-opt plus Or-opt (segment
 lengths 1-3) descent to a local optimum; the random start supplies the
-per-cycle diversity the solver loop relies on.  Exploitation scans 2-opt
-neighbors of an incumbent tour, keeps those whose cycle length grows by
-at most ``tolerance * average pair distance``, and returns the admissible
-neighbor with the best scalarized objective if it strictly improves.
+per-cycle diversity the solver loop relies on.  The descent follows a
+don't-look queue but checks the queued cities in blocks: one numpy pass
+prices every candidate move of ``BLOCK`` cities straight from the
+coordinates, the first city in queue order that has an improving move
+makes its first move, and the cities before it count as clean.  The
+tours equal those of checking one city at a time, and no distance
+matrix is built.  Exploitation scans 2-opt neighbors of an incumbent
+tour, keeps those whose cycle length grows by at most ``tolerance *
+average pair distance``, and returns the admissible neighbor with the
+best scalarized objective if it strictly improves.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .evaluation import Solution, Tour, weighted_objective
-from .instance import CEIL_2D, ProblemInstance, _round_distances
+from .instance import ProblemInstance, _round_distances
 
 DEFAULT_NEIGHBORS = 16
-_MATRIX_LIMIT = 2500  # largest n for which a full distance matrix is built
+BLOCK = 64  # cities whose candidate moves one numpy pass of the descent prices
+_EDGE = np.array([0, -1])  # position of the edge a 2-opt move removes, from a's: forward, backward
+_STEP = np.array([1, -1])  # position of the city b across that edge, from a's
+_SEG = np.array([1, 2, 3])  # Or-opt segment lengths
 NEG_INF = float("-inf")
 
 
@@ -38,11 +45,12 @@ class NeighborLists:
         k = min(k, n - 1)
         tree = cKDTree(inst.coords)
         _, idx = tree.query(inst.coords, k=min(k + 1, n))
-        idx = np.atleast_2d(idx)
-        out = np.empty((n, k), dtype=np.int64)
-        for i in range(n):
-            row = [int(c) for c in idx[i] if c != i]
-            out[i] = row[:k]
+        idx = np.asarray(idx, dtype=np.int64).reshape(n, -1)
+        # Drop each city from its own row, keeping the others in query order.
+        # With duplicate points a city may be missing from its row; then the
+        # row's last entry is the one dropped.
+        keep = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
+        out = np.ascontiguousarray(np.take_along_axis(idx, keep, axis=1)[:, :k])
         out.setflags(write=False)
         return cls(out)
 
@@ -60,37 +68,9 @@ def distance_matrix(inst: ProblemInstance) -> np.ndarray:
     return out
 
 
-def _make_dist(inst: ProblemInstance):
-    """Scalar distance lookup: matrix-backed when small, on the fly otherwise."""
-    if inst.n <= _MATRIX_LIMIT:
-        matrix = distance_matrix(inst)
-
-        def dist(a: int, b: int) -> float:
-            return matrix[a, b]
-
-    else:
-        xs = inst.coords[:, 0].tolist()
-        ys = inst.coords[:, 1].tolist()
-        if inst.metric == CEIL_2D:
-
-            def dist(a: int, b: int) -> float:
-                dx = xs[a] - xs[b]
-                dy = ys[a] - ys[b]
-                return math.ceil(math.sqrt(dx * dx + dy * dy))
-
-        else:
-
-            def dist(a: int, b: int) -> float:
-                dx = xs[a] - xs[b]
-                dy = ys[a] - ys[b]
-                return math.floor(math.sqrt(dx * dx + dy * dy) + 0.5)
-
-    return dist
-
-
 def _nearest_neighbor_order(
-    inst: ProblemInstance, start: int, neighbors: NeighborLists, dist
-) -> list[int]:
+    inst: ProblemInstance, start: int, neighbors: NeighborLists
+) -> np.ndarray:
     n = inst.n
     visited = np.zeros(n, dtype=bool)
     visited[start] = True
@@ -108,140 +88,212 @@ def _nearest_neighbor_order(
         visited[nxt] = True
         order.append(nxt)
         current = nxt
-    return order
+    return np.asarray(order, dtype=np.int64)
 
 
-def _rotate_to_depot(order: list[int]) -> list[int]:
-    at = order.index(0)
-    return order[at:] + order[:at]
+class _Descent:
+    """2-opt + Or-opt descent of one tour, with the geometry it reuses.
 
-
-def _reverse_between_edges(order: list[int], pos: np.ndarray, p: int, q: int) -> None:
-    """Apply the 2-opt move that removes the edges leaving positions p and q.
-
-    Reverses the positions strictly after min(p, q) through max(p, q);
-    that slice never includes position 0, so the start city stays put.
+    ``near[a, t]`` is the distance from ``a`` to its ``t``-th neighbor, and
+    while a tour descends ``leg[t]`` is the length of the edge leaving
+    position ``t``; both are lookups where the one-city scan recomputed
+    distances.  Every distance is an integer held in a float64, so each
+    gain and each ``> 0.5`` test is exact in any evaluation order and
+    agrees with pricing the moves one city at a time.
     """
-    lo, hi = (p, q) if p < q else (q, p)
-    order[lo + 1 : hi + 1] = order[lo + 1 : hi + 1][::-1]
-    for t in range(lo + 1, hi + 1):
-        pos[order[t]] = t
 
+    def __init__(self, inst: ProblemInstance, neighbors: NeighborLists):
+        self.xs = np.ascontiguousarray(inst.coords[:, 0])
+        self.ys = np.ascontiguousarray(inst.coords[:, 1])
+        self.metric = inst.metric
+        self.nbr = neighbors.indices
+        self.near = self.dist(np.arange(inst.n)[:, None], self.nbr)
 
-def _improve_two_opt(order, pos, dist, nbr, a):
-    """First improving candidate 2-opt move incident to city ``a``, or None."""
-    n = len(order)
-    i = int(pos[a])
-    for forward in (True, False):
-        if forward:
-            b = order[(i + 1) % n]
-            edge_a = i
-        else:
-            b = order[i - 1]
-            edge_a = (i - 1) % n
-        d_ab = dist(a, b)
-        for c in nbr[a]:
-            d_ac = dist(a, c)
-            if d_ac >= d_ab:
-                break
-            j = int(pos[c])
-            if forward:
-                d2 = order[(j + 1) % n]
-                edge_c = j
-            else:
-                d2 = order[j - 1]
-                edge_c = (j - 1) % n
-            gain = d_ab + dist(c, d2) - d_ac - dist(b, d2)
-            if gain > 0.5:
-                _reverse_between_edges(order, pos, edge_a, edge_c)
-                return (a, b, int(c), int(d2))
-    return None
+    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Rounded distances between the cities ``p`` and ``q`` (broadcast),
+        bit for bit those of ``ProblemInstance.distances_from``."""
+        dx = self.xs.take(p) - self.xs.take(q)
+        dy = self.ys.take(p) - self.ys.take(q)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        return _round_distances(np.sqrt(dx, out=dx), self.metric)
 
+    def descend(self, order: np.ndarray) -> np.ndarray:
+        """Descend ``order`` (changed in place) to a local optimum and return it.
 
-def _improve_or_opt(order, pos, dist, nbr, a):
-    """First improving relocation of a 1-3 city segment starting at ``a``."""
-    n = len(order)
-    i = int(pos[a])
-    if i == 0:
-        return None
-    for seg_len in (1, 2, 3):
-        if i + seg_len > n:
-            break
-        tail = order[i + seg_len - 1]
-        prev = order[i - 1]
-        nxt = order[(i + seg_len) % n]
-        removal = dist(prev, a) + dist(tail, nxt) - dist(prev, nxt)
-        if removal <= 0.5:
-            continue
-        for c in list(nbr[a]) + list(nbr[tail]):
-            j = int(pos[c])
-            if i - 1 <= j <= i + seg_len - 1:
-                continue
-            c = int(c)
-            cnxt = order[(j + 1) % n]
-            base = dist(c, cnxt)
-            cost_fwd = dist(c, a) + dist(tail, cnxt) - base
-            cost_rev = dist(c, tail) + dist(a, cnxt) - base
-            cost = min(cost_fwd, cost_rev)
-            if removal - cost > 0.5:
-                seg = order[i : i + seg_len]
-                if cost_rev < cost_fwd:
-                    seg.reverse()
-                del order[i : i + seg_len]
-                insert_at = (j if j < i else j - seg_len) + 1
-                order[insert_at:insert_at] = seg
-                for t, city in enumerate(order):
-                    pos[city] = t
-                return (a, tail, prev, nxt, c, cnxt)
-    return None
+        The don't-look queue starts as the tour and is a ring over ``n``
+        slots, since a city is queued at most once.  Each pass takes the
+        next ``BLOCK`` queued cities; the cities before the first mover
+        leave the queue clean.  After the queue drains, a verification
+        sweep rescans every city in index order, in blocks too; the descent
+        only ends on a completely clean sweep, so the result is guaranteed
+        move-free with respect to the candidate lists.
+        """
+        n = self.n = order.shape[0]
+        self.order = order
+        self.pos = np.empty(n, dtype=np.int64)
+        self.pos[order] = np.arange(n)
+        self.leg = self.dist(order, np.roll(order, -1))
+        ring = order.copy()
+        head = 0
+        size = n
+        queued = np.ones(n, dtype=bool)
 
+        def push(touched) -> None:
+            nonlocal size
+            for city in touched:
+                if not queued[city]:
+                    ring[(head + size) % n] = city
+                    queued[city] = True
+                    size += 1
 
-def _descend(inst: ProblemInstance, order: list[int], neighbors: NeighborLists, dist) -> list[int]:
-    """2-opt + Or-opt descent with a don't-look queue; returns a local optimum.
-
-    After the queue drains, a verification sweep rescans every city; the
-    descent only ends on a completely clean sweep, so the result is
-    guaranteed move-free with respect to the candidate lists.
-    """
-    n = len(order)
-    pos = np.empty(n, dtype=np.int64)
-    for t, city in enumerate(order):
-        pos[city] = t
-    nbr = neighbors.indices
-    queue = deque(order)
-    queued = np.ones(n, dtype=bool)
-    while True:
-        while queue:
-            a = queue.popleft()
-            queued[a] = False
-            touched = _improve_two_opt(order, pos, dist, nbr, a)
-            if touched is None:
-                touched = _improve_or_opt(order, pos, dist, nbr, a)
-            if touched:
-                for city in touched:
-                    if not queued[city]:
-                        queue.append(city)
-                        queued[city] = True
-        clean = True
-        for a in range(n):
-            touched = _improve_two_opt(order, pos, dist, nbr, a)
-            if touched is None:
-                touched = _improve_or_opt(order, pos, dist, nbr, a)
-            if touched:
+        while True:
+            while size:
+                block = np.take(ring, np.arange(head, head + min(BLOCK, size)), mode="wrap")
+                found = self.first_move(block)
+                popped = block.shape[0] if found is None else found[0] + 1
+                queued[block[:popped]] = False
+                head = (head + popped) % n
+                size -= popped
+                if found is not None:
+                    push(self.apply(found[1]))
+            clean = True
+            start = 0
+            while start < n:
+                found = self.first_move(np.arange(start, min(start + BLOCK, n)))
+                if found is None:
+                    start += BLOCK
+                    continue
+                push(self.apply(found[1]))
                 clean = False
-                for city in touched:
-                    if not queued[city]:
-                        queue.append(city)
-                        queued[city] = True
-        if clean:
-            return order
+                start += found[0] + 1
+            if clean:
+                return order
+
+    def first_move(self, cities: np.ndarray):
+        """``(row, move)`` for the first of ``cities`` that has an improving move.
+
+        A city's move is the one the one-city scan makes: the first
+        improving 2-opt candidate, forward before backward, else the first
+        improving Or-opt relocation, shorter segments first.  ``move`` is
+        ``("2opt", p, q, touched)``, reversing the tour between the edges
+        that leave positions p and q, or ``("oropt", i, seg_len, j,
+        reverse, touched)``, moving the segment at position i after
+        position j; ``touched`` lists the cities whose queue entries the
+        move renews.  Returns None when no city of the block has a move.
+        """
+        n, order, pos, leg, near, nbr = self.n, self.order, self.pos, self.leg, self.near, self.nbr
+        i = pos.take(cities)
+        c = nbr.take(cities, axis=0)
+        j = pos.take(c)
+        d_ac = near.take(cities, axis=0)
+        found = None
+        limit = cities.shape[0]
+
+        # 2-opt, forward then backward along axis 1: a neighbor c of a is a
+        # candidate while it is nearer to a than the tour neighbor b whose
+        # edge the move removes.  Row-major order over (city, direction,
+        # neighbor) is the order of the one-city scan.
+        edge_a = i[:, None] + _EDGE
+        b = order.take(i[:, None] + _STEP, mode="wrap")
+        d_ab = leg.take(edge_a, mode="wrap")
+        edge_c = j[:, None, :] + _EDGE[:, None]
+        d2 = order.take(j[:, None, :] + _STEP[:, None], mode="wrap")
+        closer = np.logical_and.accumulate(d_ac[:, None, :] < d_ab[:, :, None], axis=2)
+        r, s, t = np.nonzero(closer)
+        gain = d_ab[r, s] + leg.take(edge_c[r, s, t], mode="wrap") - d_ac[r, t]
+        gain -= self.dist(b[r, s], d2[r, s, t])
+        hits = np.flatnonzero(gain > 0.5)
+        if hits.size:
+            r, s, t = r[hits[0]], s[hits[0]], t[hits[0]]
+            limit = int(r)
+            touched = (int(cities[r]), int(b[r, s]), int(c[r, t]), int(d2[r, s, t]))
+            found = (limit, ("2opt", int(edge_a[r, s]) % n, int(edge_c[r, s, t]) % n, touched))
+
+        # Or-opt, for the cities before the first 2-opt mover: move the
+        # segment of 1-3 cities (axis 1) that starts at a between a neighbor
+        # of its head or tail and that neighbor's successor, either way
+        # round.  Row-major order over (city, length, neighbor) is the order
+        # of the one-city scan.
+        if limit == 0:
+            return found
+        k = c.shape[1]
+        ii = i[:limit, None]
+        head = cities[:limit, None, None]
+        end = np.minimum(ii + _SEG - 1, n - 1)  # clipped where the segment runs off
+        tail = order.take(end)
+        prev = order.take(ii - 1)
+        nxt = order.take(end + 1, mode="wrap")
+        removal = (leg.take(ii - 1) + leg.take(end) - self.dist(prev, nxt))[:, :, None]
+        near_c = np.broadcast_to(c[:limit, None, :], (limit, 3, k))
+        tail_nbr = nbr.take(tail, axis=0)
+        cand = np.concatenate((near_c, tail_nbr), axis=2)
+        jc = pos.take(cand)
+        cnxt = order.take(jc + 1, mode="wrap")
+        base = leg.take(jc)
+        tail = tail[:, :, None]
+        to_head = np.concatenate(
+            (np.broadcast_to(d_ac[:limit, None, :], (limit, 3, k)), self.dist(tail_nbr, head)), axis=2
+        )
+        to_tail = np.concatenate((self.dist(near_c, tail), near.take(tail[:, :, 0], axis=0)), axis=2)
+        cost_fwd = to_head + self.dist(tail, cnxt) - base
+        cost_rev = to_tail + self.dist(head, cnxt) - base
+        seg_end = ii[:, :, None] + _SEG[:, None]  # one past the segment
+        hit = (
+            (ii[:, :, None] >= 1)
+            & (seg_end <= n)
+            & (removal > 0.5)
+            & ((jc < ii[:, :, None] - 1) | (jc > seg_end - 1))
+            & (removal - np.minimum(cost_fwd, cost_rev) > 0.5)
+        )
+        hits = np.flatnonzero(hit)
+        if hits.size:
+            r, rest = divmod(int(hits[0]), 3 * 2 * k)
+            seg, t = divmod(rest, 2 * k)
+            touched = (
+                int(cities[r]),
+                int(tail[r, seg, 0]),
+                int(prev[r, 0]),
+                int(nxt[r, seg]),
+                int(cand[r, seg, t]),
+                int(cnxt[r, seg, t]),
+            )
+            reverse = bool(cost_rev[r, seg, t] < cost_fwd[r, seg, t])
+            found = (r, ("oropt", int(i[r]), seg + 1, int(jc[r, seg, t]), reverse, touched))
+        return found
+
+    def apply(self, move) -> tuple[int, ...]:
+        """Make ``move`` and return its ``touched`` cities."""
+        n, order = self.n, self.order
+        if move[0] == "2opt":
+            _, p, q, touched = move
+            lo, hi = (p + 1, q + 1) if p < q else (q + 1, p + 1)
+            order[lo:hi] = order[lo:hi][::-1].copy()
+        else:
+            _, i, seg_len, j, reverse, touched = move
+            seg = order[i : i + seg_len].copy()
+            if reverse:
+                seg = seg[::-1]
+            if j < i:
+                lo, hi = j + 1, i + seg_len
+                order[lo + seg_len : hi] = order[lo:i].copy()
+                order[lo : lo + seg_len] = seg
+            else:
+                lo, hi = i, j + 1
+                order[lo : hi - seg_len] = order[i + seg_len : hi].copy()
+                order[hi - seg_len : hi] = seg
+        self.pos[order[lo:hi]] = np.arange(lo, hi)
+        edges = np.arange(lo - 1, hi)
+        self.leg[edges] = self.dist(order[edges], order[(edges + 1) % n])
+        return touched
 
 
-def _double_bridge(order: list[int], rng: np.random.Generator) -> list[int]:
+def _double_bridge(order: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Random 4-opt double-bridge kick; keeps the start city in place."""
-    n = len(order)
+    n = order.shape[0]
     p, q, r = sorted(rng.choice(np.arange(1, n), size=3, replace=False).tolist())
-    return order[:p] + order[q:r] + order[p:q] + order[r:]
+    return np.concatenate((order[:p], order[q:r], order[p:q], order[r:]))
 
 
 def construct_tour(
@@ -260,14 +312,15 @@ def construct_tour(
     """
     if neighbors is None:
         neighbors = NeighborLists.build(inst)
-    dist = _make_dist(inst)
+    descent = _Descent(inst, neighbors)
     start = int(rng.integers(inst.n))
-    order = _rotate_to_depot(_nearest_neighbor_order(inst, start, neighbors, dist))
-    order = _descend(inst, order, neighbors, dist)
+    order = _nearest_neighbor_order(inst, start, neighbors)
+    order = np.roll(order, -int(np.flatnonzero(order == 0)[0]))  # start at city 0
+    order = descent.descend(order)
     if inst.n >= 4:
         for _ in range(kicks):
-            order = _descend(inst, _double_bridge(order, rng), neighbors, dist)
-    return Tour(np.asarray(order, dtype=np.int64))
+            order = descent.descend(_double_bridge(order, rng))
+    return Tour(order)
 
 
 def average_pair_distance(

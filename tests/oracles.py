@@ -8,19 +8,24 @@ calls into the solver's evaluation or archive code paths:
 - O(N^2) and sort-scan non-dominated filters
 - rectangle-sum hypervolume, brute-force best subset, Monte Carlo area
 
-The one exception is ``sequential_packing``: the packer's original
-attempt-by-attempt greedy loop, kept as the reference the lockstep packer
-must match bit for bit.  It prices plans with ``TourContext``.
+The exceptions are the two sequential references the vectorized solver
+must match bit for bit: ``sequential_packing``, the packer's original
+attempt-by-attempt greedy loop, which prices plans with ``TourContext``;
+and ``sequential_descent``, the tour descent's original city-by-city
+scan, which ``sequential_construct_tour`` starts from the solver's
+nearest-neighbor tour.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
 from bittp import PackingPlan, TourContext, reeval_period
+from bittp.tour_search import _nearest_neighbor_order
 
 
 # ---------------------------------------------------------------------------
@@ -293,3 +298,158 @@ def sequential_packing(inst, tour, attempts, alpha, divisor, rng):
             best_f = committed_f
 
     return PackingPlan(inst, best_selected)
+
+
+# ---------------------------------------------------------------------------
+# sequential descent reference (one city at a time, scalar distances)
+
+def _scalar_dist(inst):
+    xs = inst.coords[:, 0].tolist()
+    ys = inst.coords[:, 1].tolist()
+    ceil = inst.metric == "CEIL_2D"
+
+    def dist(a, b):
+        dx = xs[a] - xs[b]
+        dy = ys[a] - ys[b]
+        raw = math.sqrt(dx * dx + dy * dy)
+        return math.ceil(raw) if ceil else math.floor(raw + 0.5)
+
+    return dist
+
+
+def _reverse_between_edges(order, pos, p, q):
+    """Apply the 2-opt move that removes the edges leaving positions p and q.
+
+    Reverses the positions strictly after min(p, q) through max(p, q);
+    that slice never includes position 0, so the start city stays put.
+    """
+    lo, hi = (p, q) if p < q else (q, p)
+    order[lo + 1 : hi + 1] = order[lo + 1 : hi + 1][::-1]
+    for t in range(lo + 1, hi + 1):
+        pos[order[t]] = t
+
+
+def _improve_two_opt(order, pos, dist, nbr, a):
+    """First improving candidate 2-opt move incident to city ``a``, or None."""
+    n = len(order)
+    i = int(pos[a])
+    for forward in (True, False):
+        if forward:
+            b = order[(i + 1) % n]
+            edge_a = i
+        else:
+            b = order[i - 1]
+            edge_a = (i - 1) % n
+        d_ab = dist(a, b)
+        for c in nbr[a]:
+            d_ac = dist(a, c)
+            if d_ac >= d_ab:
+                break
+            j = int(pos[c])
+            if forward:
+                d2 = order[(j + 1) % n]
+                edge_c = j
+            else:
+                d2 = order[j - 1]
+                edge_c = (j - 1) % n
+            gain = d_ab + dist(c, d2) - d_ac - dist(b, d2)
+            if gain > 0.5:
+                _reverse_between_edges(order, pos, edge_a, edge_c)
+                return (a, b, int(c), int(d2))
+    return None
+
+
+def _improve_or_opt(order, pos, dist, nbr, a):
+    """First improving relocation of a 1-3 city segment starting at ``a``."""
+    n = len(order)
+    i = int(pos[a])
+    if i == 0:
+        return None
+    for seg_len in (1, 2, 3):
+        if i + seg_len > n:
+            break
+        tail = order[i + seg_len - 1]
+        prev = order[i - 1]
+        nxt = order[(i + seg_len) % n]
+        removal = dist(prev, a) + dist(tail, nxt) - dist(prev, nxt)
+        if removal <= 0.5:
+            continue
+        for c in list(nbr[a]) + list(nbr[tail]):
+            j = int(pos[c])
+            if i - 1 <= j <= i + seg_len - 1:
+                continue
+            c = int(c)
+            cnxt = order[(j + 1) % n]
+            base = dist(c, cnxt)
+            cost_fwd = dist(c, a) + dist(tail, cnxt) - base
+            cost_rev = dist(c, tail) + dist(a, cnxt) - base
+            cost = min(cost_fwd, cost_rev)
+            if removal - cost > 0.5:
+                seg = order[i : i + seg_len]
+                if cost_rev < cost_fwd:
+                    seg.reverse()
+                del order[i : i + seg_len]
+                insert_at = (j if j < i else j - seg_len) + 1
+                order[insert_at:insert_at] = seg
+                for t, city in enumerate(order):
+                    pos[city] = t
+                return (a, tail, prev, nxt, c, cnxt)
+    return None
+
+
+def sequential_descent(inst, order, neighbors):
+    """2-opt + Or-opt descent with a don't-look queue, one city at a time,
+    as the tour search did before it scanned cities in blocks.
+
+    After the queue drains, a verification sweep rescans every city; the
+    descent only ends on a completely clean sweep.
+    """
+    dist = _scalar_dist(inst)
+    order = [int(c) for c in order]
+    n = len(order)
+    pos = np.empty(n, dtype=np.int64)
+    for t, city in enumerate(order):
+        pos[city] = t
+    nbr = neighbors.indices
+    queue = deque(order)
+    queued = np.ones(n, dtype=bool)
+    while True:
+        while queue:
+            a = queue.popleft()
+            queued[a] = False
+            touched = _improve_two_opt(order, pos, dist, nbr, a)
+            if touched is None:
+                touched = _improve_or_opt(order, pos, dist, nbr, a)
+            if touched:
+                for city in touched:
+                    if not queued[city]:
+                        queue.append(city)
+                        queued[city] = True
+        clean = True
+        for a in range(n):
+            touched = _improve_two_opt(order, pos, dist, nbr, a)
+            if touched is None:
+                touched = _improve_or_opt(order, pos, dist, nbr, a)
+            if touched:
+                clean = False
+                for city in touched:
+                    if not queued[city]:
+                        queue.append(city)
+                        queued[city] = True
+        if clean:
+            return order
+
+
+def sequential_construct_tour(inst, rng, neighbors, kicks=3):
+    """``construct_tour`` with ``sequential_descent`` and list splicing."""
+    start = int(rng.integers(inst.n))
+    order = _nearest_neighbor_order(inst, start, neighbors).tolist()
+    at = order.index(0)
+    order = sequential_descent(inst, order[at:] + order[:at], neighbors)
+    if inst.n >= 4:
+        for _ in range(kicks):
+            n = len(order)
+            p, q, r = sorted(rng.choice(np.arange(1, n), size=3, replace=False).tolist())
+            kicked = order[:p] + order[q:r] + order[p:q] + order[r:]
+            order = sequential_descent(inst, kicked, neighbors)
+    return order

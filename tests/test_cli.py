@@ -10,6 +10,7 @@ from bittp.cli import main, read_front_csv, read_solutions
 from bittp.instance import write_instance
 
 from gen import random_instance
+from test_instance import MINIMAL
 
 
 @pytest.fixture
@@ -118,6 +119,17 @@ def test_huge_declared_count_is_input_error(toy3_file, tmp_path, capsys):
     bad.write_text(text.replace("DIMENSION: 3", "DIMENSION: 1000000000000"))
     assert main(["solve", "--instance", str(bad), "--iterations", "3"]) == 2
     assert "DIMENSION is 1000000000000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("2 3 0", "2 nan 0"), ("3 0 4", "3 0 inf"), ("1 100 3 2", "1 inf 3 2"), ("RENTING RATIO: 1", "RENTING RATIO: nan")],
+)
+def test_non_finite_instance_is_input_error(tmp_path, capsys, old, new):
+    bad = tmp_path / "bad.ttp"
+    bad.write_text(MINIMAL.replace(old, new))
+    assert main(["solve", "--instance", str(bad), "--iterations", "1", "--output-dir", str(tmp_path / "o")]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_usage_errors(toy3_file, tmp_path):

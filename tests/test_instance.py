@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bittp import CEIL_2D, EUC_2D, ProblemInstance, parse_instance
 from bittp.instance import (
     InconsistentCountsError,
+    InstanceError,
     InvalidInstanceError,
     ItemAtDepotError,
     MalformedRecordError,
@@ -126,6 +127,66 @@ def test_invalid_speeds_rejected():
     bad = MINIMAL.replace("MIN SPEED: 0.1", "MIN SPEED: 2")
     with pytest.raises(InvalidInstanceError):
         parse_instance(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("2 3 0", "2 nan 0"),
+        ("2 3 0", "2 3 inf"),
+        ("3 0 4", "3 -inf 4"),
+        ("1 100 3 2", "1 inf 3 2"),
+        ("1 100 3 2", "1 nan 3 2"),
+        ("2 60 2 3", "2 60 inf 3"),
+        ("2 60 2 3", "2 60 nan 3"),
+        ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: inf"),
+        ("MAX SPEED: 1", "MAX SPEED: inf"),
+        ("MAX SPEED: 1", "MAX SPEED: nan"),
+        ("RENTING RATIO: 1", "RENTING RATIO: inf"),
+        ("RENTING RATIO: 1", "RENTING RATIO: nan"),
+    ],
+)
+def test_non_finite_values_rejected(old, new):
+    with pytest.raises(InvalidInstanceError, match="finite"):
+        parse_instance(MINIMAL.replace(old, new))
+
+
+_FUZZ_TOKENS = [
+    "0", "1", "-1", "2", "3", "4", "0.5", "-0.0", "1e400", "-1e400", "nan", "inf", "-inf",
+    "1e-320", "99999999999999999999", "9" * 5000, "1_0", "0x10", "\u0663", "x", ":", "",
+    "CEIL_2D", "EUC_2D", "GEO", "NODE_COORD_SECTION", "ITEMS SECTION", "EOF", "DIMENSION:",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_parse_mutated_minimal_raises_only_instance_errors(data):
+    """Lines and tokens of MINIMAL deleted, duplicated, swapped, replaced or
+    inserted: parsing either succeeds or raises an InstanceError."""
+    lines = MINIMAL.splitlines()
+    for _ in range(data.draw(st.integers(1, 4))):
+        kind = data.draw(st.sampled_from(["token", "delete", "duplicate", "swap", "insert"]))
+        at = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "insert" or not lines:
+            words = data.draw(st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=4))
+            lines.insert(at, " ".join(words))
+        elif kind == "token":
+            words = lines[at].replace(":", " : ").split() or [""]
+            words[data.draw(st.integers(0, len(words) - 1))] = data.draw(st.sampled_from(_FUZZ_TOKENS))
+            line = " ".join(words)
+            lines[at] = line.replace(" : ", ":", 1) if ":" in lines[at] else line
+        elif kind == "delete":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            other = data.draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+    try:
+        inst = parse_instance("\n".join(lines) + "\n")
+    except InstanceError:
+        return
+    assert isinstance(inst, ProblemInstance)
 
 
 def test_nonpositive_weight_rejected():

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from bittp import (
     NeighborLists,
@@ -16,8 +19,9 @@ from bittp import (
     weighted_objective,
 )
 
+from bittp import tour_search
 from gen import random_instance
-from oracles import brute_best_tour_length
+from oracles import brute_best_tour_length, sequential_construct_tour
 
 NEG_INF = float("-inf")
 
@@ -55,6 +59,22 @@ def test_neighbor_lists_sorted_no_self():
 def test_neighbor_lists_clamped_to_n_minus_1(toy3):
     nbr = NeighborLists.build(toy3, k=16)
     assert nbr.k == 2
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("span", [2, 4, 1000])
+def test_neighbor_lists_equal_per_city_loop(k, span):
+    """Rows equal dropping each city from its query row one city at a time.
+    With duplicate points a city can be missing from its own query row;
+    then the row keeps its first k entries."""
+    rng = np.random.default_rng(span + k)
+    coords = rng.integers(0, span, size=(60, 2)).astype(float)
+    _, idx = cKDTree(coords).query(coords, k=k + 1)
+    idx = np.asarray(idx).reshape(60, -1)
+    want = np.array([[int(c) for c in idx[i] if c != i][:k] for i in range(60)])
+    assert np.array_equal(NeighborLists.build(_inst(coords), k=k).indices, want)
+    if span == 2:  # 4 distinct points: some city is outside its own row
+        assert (idx != np.arange(60)[:, None]).all(axis=1).any()
 
 
 def test_distance_matrix_matches_scalar(toy3):
@@ -122,6 +142,45 @@ def test_construct_is_candidate_two_opt_optimal():
                 continue
             cand = order[: lo + 1] + order[lo + 1 : hi + 1][::-1] + order[hi + 1 :]
             assert inst.tour_length(np.array(cand)) >= base - 1e-9
+
+
+def _assert_matches_sequential(inst, seed, k, kicks):
+    neighbors = NeighborLists.build(inst, k=k)
+    rng_new = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    got = construct_tour(inst, rng_new, neighbors=neighbors, kicks=kicks)
+    want = sequential_construct_tour(inst, rng_ref, neighbors, kicks)
+    assert got.order.tolist() == want
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 60),
+    span=st.sampled_from([2, 3, 5, 10, 1000]),
+    metric=st.sampled_from(["CEIL_2D", "EUC_2D"]),
+    k=st.integers(1, 16),
+    kicks=st.integers(0, 3),
+    block=st.sampled_from([1, 7, 100, tour_search.BLOCK]),
+)
+def test_construct_tour_matches_sequential_descent_property(seed, n, span, metric, k, kicks, block):
+    """Block scans give the one-city descent's tours and leave the generator
+    where it does; small coordinate spans force duplicate points and tied
+    distances."""
+    rng = np.random.default_rng(seed)
+    inst = _inst(rng.integers(0, span, size=(n, 2)).astype(float), metric=metric)
+    saved = tour_search.BLOCK
+    tour_search.BLOCK = block
+    try:
+        _assert_matches_sequential(inst, seed + 1, k, kicks)
+    finally:
+        tour_search.BLOCK = saved
+
+
+def test_construct_tour_matches_sequential_descent_n1000():
+    inst = random_instance(np.random.default_rng(11), 1000, 0, coord_range=5000)
+    _assert_matches_sequential(inst, 12, 16, 3)
 
 
 def test_average_pair_distance_examples(toy3):
