@@ -206,6 +206,32 @@ class TourContext:
         omega = np.cumsum(weight_by_pos, axis=1)
         return (self.leg / self._speeds(omega)).sum(axis=1)
 
+    def reversal_times(
+        self, weight_by_pos: np.ndarray, first: np.ndarray, last: np.ndarray
+    ) -> np.ndarray:
+        """Travel time of the tour with positions ``first[k]..last[k]``
+        reversed (``1 <= first < last < n``), one entry per k, under the
+        per-position pickup weights ``weight_by_pos`` of this tour.
+
+        Entry k equals ``travel_time`` on a context of the flipped tour bit
+        for bit: a city's pickup weight is the same sum of its items in item
+        order wherever it sits, the reversed legs are the same rounded
+        distances walked the other way, and only the two new edges are
+        measured afresh.
+        """
+        t = np.arange(self.inst.n)
+        lo = first[:, None]
+        hi = last[:, None]
+        inside = (t >= lo) & (t <= hi)
+        src = np.where(inside, lo + hi - t, t)  # flipped position t holds pivot position src
+        omega = np.cumsum(weight_by_pos.take(src), axis=1)
+        leg = self.leg.take(src - inside)  # the leg after position t is the pivot's leg before src
+        rows = np.arange(first.shape[0])
+        order = self.tour.order
+        leg[rows, first - 1] = self.inst.pair_distances(order[first - 1], order[last])
+        leg[rows, last] = self.inst.pair_distances(order[first], order.take(last + 1, mode="wrap"))
+        return (leg / self._speeds(omega)).sum(axis=1)
+
     def travel_time(self, selected: np.ndarray) -> float:
         return self.time_from_positions(self.weight_by_position(selected))
 

@@ -112,6 +112,16 @@ class ProblemInstance:
             raise InvalidInstanceError("city coordinates must be finite")
         if not (np.isfinite(profits).all() and np.isfinite(weights).all()):
             raise InvalidInstanceError("item profits and weights must be finite")
+        # Distances square coordinate differences, so the bounding box's
+        # squared diagonal must be finite; likewise every plan's profit.
+        with np.errstate(over="ignore"):
+            span = np.ptp(coords, axis=0)
+            diagonal2 = float((span * span).sum())
+            total_profit = float(profits.sum())
+        if not math.isfinite(diagonal2):
+            raise InvalidInstanceError("city coordinates must span a finite squared distance")
+        if not math.isfinite(total_profit):
+            raise InvalidInstanceError("the total item profit must be finite")
         for field in ("capacity", "min_speed", "max_speed", "renting_rate"):
             value = getattr(self, field)
             if not math.isfinite(value):
@@ -124,6 +134,11 @@ class ProblemInstance:
             )
         if self.renting_rate < 0:
             raise InvalidInstanceError(f"renting rate must be non-negative, got {self.renting_rate}")
+        if not math.isfinite((self.max_speed - self.min_speed) / self.capacity):
+            raise InvalidInstanceError("the speed's slope (max speed - min speed) / capacity must be finite")
+        # A leg is at most the rounded diagonal long and is walked at min_speed at the slowest.
+        if not math.isfinite(n * (math.sqrt(diagonal2) + 1) / self.min_speed):
+            raise InvalidInstanceError("travel times must be finite: n * diagonal / min speed overflows")
         if m:
             if (profits < 0).any():
                 raise InvalidInstanceError("item profits must be non-negative")
@@ -161,9 +176,13 @@ class ProblemInstance:
 
     def distances_from(self, i: int, to: np.ndarray | None = None) -> np.ndarray:
         """Rounded distances from city ``i`` to ``to`` (default: all cities)."""
-        other = self.coords if to is None else self.coords[to]
-        dx = other[:, 0] - self.coords[i, 0]
-        dy = other[:, 1] - self.coords[i, 1]
+        return self.pair_distances(i, slice(None) if to is None else to)
+
+    def pair_distances(self, p, q) -> np.ndarray:
+        """Rounded distances between the cities ``p`` and ``q`` (broadcast
+        index arrays); each is symmetric bit for bit."""
+        dx = self.coords[q, 0] - self.coords[p, 0]
+        dy = self.coords[q, 1] - self.coords[p, 1]
         return _round_distances(np.sqrt(dx * dx + dy * dy), self.metric)
 
     def leg_lengths(self, order: np.ndarray) -> np.ndarray:

@@ -9,24 +9,31 @@ prices every candidate move of ``BLOCK`` cities straight from the
 coordinates, the first city in queue order that has an improving move
 makes its first move, and the cities before it count as clean.  The
 tours equal those of checking one city at a time, and no distance
-matrix is built.  Exploitation scans 2-opt neighbors of an incumbent
-tour, keeps those whose cycle length grows by at most ``tolerance *
-average pair distance``, and returns the admissible neighbor with the
-best scalarized objective if it strictly improves.
+matrix is built.  Exploitation looks at the 2-opt neighbors of an
+incumbent tour, keeps those whose cycle length grows by at most
+``tolerance * average pair distance``, and returns the admissible
+neighbor with the best scalarized objective if it strictly improves.
+An admissible move joins cities near the ends of the edges it removes,
+so two fixed-radius ball queries on a k-d tree find every one of them
+without a scan over all pairs; the admissible moves are priced in numpy
+batches, each row equal to a full evaluation of its flipped tour.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .evaluation import Solution, Tour, weighted_objective
+from .evaluation import Solution, Tour, TourContext, scalarized, total_profit, weighted_objective
 from .instance import ProblemInstance, _round_distances
 
 DEFAULT_NEIGHBORS = 16
-BLOCK = 64  # cities whose candidate moves one numpy pass of the descent prices
+BLOCK = 64  # cities per numpy pass of the descent and of average_pair_distance
+EXPLOIT_CELLS = 1 << 16  # cells of each (moves, n) array that prices 2-opt exploitation moves
 _EDGE = np.array([0, -1])  # position of the edge a 2-opt move removes, from a's: forward, backward
 _STEP = np.array([1, -1])  # position of the city b across that edge, from a's
 _SEG = np.array([1, 2, 3])  # Or-opt segment lengths
@@ -330,15 +337,23 @@ def average_pair_distance(
 
     Exact up to ``exact_limit`` cities; beyond that, the mean of
     ``sample_size`` uniformly sampled distinct pairs under a seed derived
-    from the city count, so repeated runs agree.
+    from the city count, so repeated runs agree.  The exact path measures
+    ``BLOCK`` cities against the cities after them per numpy pass, sums
+    each city's distances to the later cities with numpy and adds those
+    sums in a Python float in city order: the operations, in the order, of
+    summing one ``distances_from`` row per city, so the mean is the same
+    bit for bit at any magnitude.
     """
     n = inst.n
     if n < 2:
         raise ValueError("need at least two cities")
     if n <= exact_limit:
         total = 0.0
-        for i in range(n - 1):
-            total += float(inst.distances_from(i, np.arange(i + 1, n)).sum())
+        for lo in range(0, n - 1, BLOCK):
+            rows = np.arange(lo, min(lo + BLOCK, n - 1))
+            dist = inst.pair_distances(rows[:, None], np.arange(lo + 1, n))
+            for r in range(rows.shape[0]):
+                total += float(dist[r, r:].sum())
         return total / (n * (n - 1) / 2)
 
     rng = np.random.default_rng(1_000_003 * n + 12345)
@@ -358,6 +373,14 @@ def average_pair_distance(
     return total / sample_size
 
 
+def _near_pairs(tree: cKDTree, points: np.ndarray, radius: np.ndarray):
+    """``(k, city)`` for every city within ``radius[k]`` of ``points[k]``."""
+    found = tree.query_ball_point(points, radius)
+    counts = np.fromiter(map(len, found), dtype=np.int64, count=found.shape[0])
+    cities = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
+    return np.repeat(np.arange(found.shape[0]), counts), cities
+
+
 def two_opt_exploit(
     inst: ProblemInstance,
     sol: Solution,
@@ -370,8 +393,20 @@ def two_opt_exploit(
     A neighbor is admissible when its cycle length exceeds the incumbent's
     by at most ``tolerance * avg_pair_distance``; among admissible
     neighbors the one with the highest scalarized objective (same plan,
-    same alpha) is returned if it strictly improves on the incumbent.
-    ``tolerance`` of -inf disables the scan.
+    same alpha) is returned if it strictly improves on the incumbent, the
+    first in (i, j) order on ties.  ``tolerance`` of -inf disables the scan.
+
+    Move (i, j) reverses positions i..j: it removes the edges (a, b) and
+    (c, d) that enter position i and leave position j, and adds (a, c)
+    and (b, d).  Its length change is at most the limit L only if
+    d(a, c) <= d(a, b) + L/2 or d(b, d) <= d(c, d) + L/2, so two
+    fixed-radius ball queries on a k-d tree of the cities, around each a
+    and each d with one unit of slack for rounding, find every admissible
+    move (Bentley's fixed-radius search).  The candidates are filtered
+    with the rounded distances, in the operations of a scan over all
+    pairs, and the admissible ones are priced ``EXPLOIT_CELLS`` cells at
+    a time with :meth:`TourContext.reversal_times`, so the result is the
+    one of pricing each flipped tour with ``weighted_objective``.
     """
     if tolerance == NEG_INF:
         return None
@@ -379,25 +414,46 @@ def two_opt_exploit(
     n = order.shape[0]
     if n < 4:
         return None  # no proper 2-opt neighbor exists
-    legs = inst.leg_lengths(order)
     limit = tolerance * avg_pair_distance
-
     best_f = weighted_objective(inst, sol.tour, sol.plan, alpha)
-    best: Tour | None = None
-    for i in range(1, n - 1):
-        a = order[i - 1]
-        b = order[i]
-        # (1, n-1) reverses the whole cycle: not a 2-opt move
-        cand = np.arange(i + 1, n - 1 if i == 1 else n)
-        add1 = inst.distances_from(a, order[cand])
-        add2 = inst.distances_from(b, order[(cand + 1) % n])
-        delta = add1 + add2 - legs[i - 1] - legs[cand]
-        for j in cand[delta <= limit]:
-            flipped = order.copy()
-            flipped[i : j + 1] = flipped[i : j + 1][::-1]
-            candidate = Tour(flipped)
-            f = weighted_objective(inst, candidate, sol.plan, alpha)
-            if f > best_f:
-                best_f = f
-                best = candidate
-    return best
+    ctx = TourContext(inst, sol.tour)
+    leg, pos = ctx.leg, ctx.position
+
+    # Candidates: the cities c near each a = order[p] give the moves
+    # (p + 1, pos[c]); the cities b near each d = order[q] give the moves
+    # (pos[b], q - 1).  The slack also covers float error at huge coordinates.
+    slack = 1.0 + math.hypot(*np.ptp(inst.coords, axis=0)) * 2.0**-40
+    radius = np.maximum(leg + (limit / 2 + slack), 0.0)
+    tree = cKDTree(inst.coords)
+    points = inst.coords[order]
+    p, c = _near_pairs(tree, points, radius)
+    q, b = _near_pairs(tree, points, np.roll(radius, 1))
+    i = np.concatenate((p + 1, pos[b]))
+    j = np.concatenate((pos[c], (q - 1) % n))
+    # (1, n-1) reverses the whole cycle: not a 2-opt move
+    keep = (i >= 1) & (i < j) & ((i > 1) | (j < n - 1))
+    key = np.unique(i[keep] * n + j[keep])
+    i, j = np.divmod(key, n)
+
+    add1 = inst.pair_distances(order[i - 1], order[j])
+    add2 = inst.pair_distances(order[i], order.take(j + 1, mode="wrap"))
+    ok = add1 + add2 - leg[i - 1] - leg[j] <= limit
+    i, j = i[ok], j[ok]
+
+    weight_by_pos = ctx.weight_by_position(sol.plan.selected)
+    profit = total_profit(inst, sol.plan)
+    best = None
+    rows = max(1, EXPLOIT_CELLS // n)
+    for lo in range(0, i.shape[0], rows):
+        first, last = i[lo : lo + rows], j[lo : lo + rows]
+        f = scalarized(alpha, profit, ctx.reversal_times(weight_by_pos, first, last), inst.renting_rate)
+        better = f > best_f  # NaN never wins
+        if better.any():
+            k = int(np.argmax(np.where(better, f, NEG_INF)))  # first of the maxima
+            best_f = f[k]
+            best = (first[k], last[k])
+    if best is None:
+        return None
+    flipped = order.copy()
+    flipped[best[0] : best[1] + 1] = flipped[best[0] : best[1] + 1][::-1]
+    return Tour(flipped)

@@ -13,7 +13,10 @@ must match bit for bit: ``sequential_packing``, the packer's original
 attempt-by-attempt greedy loop, which prices plans with ``TourContext``;
 and ``sequential_descent``, the tour descent's original city-by-city
 scan, which ``sequential_construct_tour`` starts from the solver's
-nearest-neighbor tour.
+nearest-neighbor tour; ``sequential_two_opt_exploit``, the 2-opt
+exploitation's original scan over every position, pricing one flipped tour
+at a time with ``weighted_objective``; and
+``sequential_average_pair_distance``, its one-city-at-a-time exact sum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import deque
 
 import numpy as np
 
-from bittp import PackingPlan, TourContext, reeval_period
+from bittp import PackingPlan, Tour, TourContext, reeval_period, weighted_objective
 from bittp.tour_search import _nearest_neighbor_order
 
 
@@ -453,3 +456,48 @@ def sequential_construct_tour(inst, rng, neighbors, kicks=3):
             kicked = order[:p] + order[q:r] + order[p:q] + order[r:]
             order = sequential_descent(inst, kicked, neighbors)
     return order
+
+
+# ---------------------------------------------------------------------------
+# sequential exploitation references (one position or city at a time)
+
+def sequential_two_opt_exploit(inst, sol, alpha, tolerance, avg_pair_distance):
+    """``two_opt_exploit`` as a scan over every position i, pricing each
+    admissible move (i, j) with a full ``weighted_objective`` call."""
+    if tolerance == float("-inf"):
+        return None
+    order = sol.tour.order
+    n = order.shape[0]
+    if n < 4:
+        return None  # no proper 2-opt neighbor exists
+    legs = inst.leg_lengths(order)
+    limit = tolerance * avg_pair_distance
+
+    best_f = weighted_objective(inst, sol.tour, sol.plan, alpha)
+    best = None
+    for i in range(1, n - 1):
+        a = order[i - 1]
+        b = order[i]
+        # (1, n-1) reverses the whole cycle: not a 2-opt move
+        cand = np.arange(i + 1, n - 1 if i == 1 else n)
+        add1 = inst.distances_from(a, order[cand])
+        add2 = inst.distances_from(b, order[(cand + 1) % n])
+        delta = add1 + add2 - legs[i - 1] - legs[cand]
+        for j in cand[delta <= limit]:
+            flipped = order.copy()
+            flipped[i : j + 1] = flipped[i : j + 1][::-1]
+            candidate = Tour(flipped)
+            f = weighted_objective(inst, candidate, sol.plan, alpha)
+            if f > best_f:
+                best_f = f
+                best = candidate
+    return best
+
+
+def sequential_average_pair_distance(inst):
+    """Exact mean over unordered pairs, one ``distances_from`` call per city."""
+    n = inst.n
+    total = 0.0
+    for i in range(n - 1):
+        total += float(inst.distances_from(i, np.arange(i + 1, n)).sum())
+    return total / (n * (n - 1) / 2)

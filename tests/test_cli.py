@@ -1,9 +1,13 @@
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from bittp import total_profit, travel_time
 from bittp.cli import main, read_front_csv, read_solutions
@@ -130,6 +134,25 @@ def test_non_finite_instance_is_input_error(tmp_path, capsys, old, new):
     bad.write_text(MINIMAL.replace(old, new))
     assert main(["solve", "--instance", str(bad), "--iterations", "1", "--output-dir", str(tmp_path / "o")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("2 3 0", "2 2e154 0")], "squared distance"),
+        ([("1 100 3 2", "1 1e308 3 2"), ("2 60 2 3", "2 1e308 2 3")], "total item profit"),
+        ([("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5e-324")], "slope"),
+        ([("MIN SPEED: 0.1", "MIN SPEED: 1e-320")], "travel times"),
+    ],
+)
+def test_overflowing_instance_is_input_error(tmp_path, capsys, edits, message):
+    text = MINIMAL
+    for old, new in edits:
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.ttp"
+    bad.write_text(text)
+    assert main(["solve", "--instance", str(bad), "--iterations", "1", "--output-dir", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_usage_errors(toy3_file, tmp_path):
@@ -336,3 +359,42 @@ def test_golden_front_fingerprint(tmp_path):
         ["solve", "--instance", str(path), "--iterations", "2", "--seed", "3", "--output-dir", str(out)]
     ) == 0
     assert hashlib.sha256((out / "front.csv").read_bytes()).hexdigest() == GOLDEN_FRONT_SHA256
+
+
+def _is_number(word):
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+_MINIMAL_WORDS = [line.split(" ") for line in MINIMAL.splitlines()]
+# (line, word) of every number in MINIMAL: header values, indices and records
+_NUMBER_SPOTS = [
+    (row, col) for row, words in enumerate(_MINIMAL_WORDS) for col, word in enumerate(words) if _is_number(word)
+]
+_SOLVE_FUZZ_VALUES = [
+    "1e308", "-1e308", "2e154", "1e154", "1e-320", "5e-324", "0", "-0", "-1", "-0.5", "0.5", "1", "2", "7", "1e9",
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_NUMBER_SPOTS), st.sampled_from(_SOLVE_FUZZ_VALUES)), min_size=1, max_size=4))
+@example(edits=[((10, 1), "2e154")])  # city 2 at x = 2e154: squared distances overflow
+@example(edits=[((13, 1), "1e308"), ((14, 1), "1e308")])  # the total profit overflows
+@example(edits=[((3, 3), "5e-324")])  # capacity 5e-324: the speed's slope overflows
+def test_solve_mutated_minimal_end_to_end(tmp_path, edits):
+    """Numbers of MINIMAL replaced by extreme, tiny, zero or negative
+    values: ``bittp solve`` exits 0, 1 or 2, never 3, and a front it
+    writes scores with ``bittp hv`` against its own report's bounds."""
+    words = [list(line) for line in _MINIMAL_WORDS]
+    for (row, col), value in edits:
+        words[row][col] = value
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    instance = out / "mutated.ttp"
+    instance.write_text("\n".join(" ".join(line) for line in words) + "\n")
+    rc = main(["solve", "--instance", str(instance), "--iterations", "1", "--output-dir", str(out)])
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert main(["hv", str(out / "front.csv"), "--bounds-file", str(out / "report.json")]) == 0

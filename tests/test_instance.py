@@ -151,6 +151,33 @@ def test_non_finite_values_rejected(old, new):
         parse_instance(MINIMAL.replace(old, new))
 
 
+@pytest.mark.parametrize("x", ["2e154", "1e200"])
+def test_coordinates_whose_squared_distances_overflow_rejected(x):
+    """Finite coordinates whose squared differences are not finite."""
+    with pytest.raises(InvalidInstanceError, match="squared distance"):
+        parse_instance(MINIMAL.replace("2 3 0", f"2 {x} 0"))
+
+
+def test_profit_sum_overflow_rejected():
+    bad = MINIMAL.replace("1 100 3 2", "1 1e308 3 2").replace("2 60 2 3", "2 1e308 2 3")
+    with pytest.raises(InvalidInstanceError, match="total item profit"):
+        parse_instance(bad)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5e-324", "slope"),
+        ("MIN SPEED: 0.1", "MIN SPEED: 1e-320", "travel times"),
+    ],
+)
+def test_overflowing_speed_terms_rejected(old, new, message):
+    """A slope (v_max - v_min) / W that overflows makes every speed NaN; a
+    tiny v_min can make a travel time overflow."""
+    with pytest.raises(InvalidInstanceError, match=message):
+        parse_instance(MINIMAL.replace(old, new))
+
+
 _FUZZ_TOKENS = [
     "0", "1", "-1", "2", "3", "4", "0.5", "-0.0", "1e400", "-1e400", "nan", "inf", "-inf",
     "1e-320", "99999999999999999999", "9" * 5000, "1_0", "0x10", "\u0663", "x", ":", "",

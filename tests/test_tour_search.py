@@ -12,6 +12,7 @@ from bittp import (
     ProblemInstance,
     Solution,
     Tour,
+    TourContext,
     average_pair_distance,
     construct_tour,
     distance_matrix,
@@ -20,8 +21,14 @@ from bittp import (
 )
 
 from bittp import tour_search
+from bittp.packing import pack_tour
 from gen import random_instance
-from oracles import brute_best_tour_length, sequential_construct_tour
+from oracles import (
+    brute_best_tour_length,
+    sequential_average_pair_distance,
+    sequential_construct_tour,
+    sequential_two_opt_exploit,
+)
 
 NEG_INF = float("-inf")
 
@@ -287,3 +294,127 @@ def test_two_opt_exploit_never_worse():
             assert weighted_objective(inst, got, sol.plan, 0.3) > weighted_objective(
                 inst, sol.tour, sol.plan, 0.3
             )
+
+
+def _same_tour(got, want):
+    return (got is None and want is None) or (
+        got is not None and want is not None and got.order.tolist() == want.order.tolist()
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    m=st.integers(0, 30),
+    span=st.sampled_from([2, 3, 10, 1000, 10**17]),
+    tenths=st.booleans(),
+    metric=st.sampled_from(["CEIL_2D", "EUC_2D"]),
+    fill=st.sampled_from(["empty", "partial", "full"]),
+    tolerance=st.sampled_from([-0.01, 0.0, 0.001, 0.5, 5.0, float("inf")]),
+    alpha_kind=st.sampled_from(["0", "1", "random"]),
+    zero_ell=st.booleans(),
+)
+def test_two_opt_exploit_matches_sequential_scan_property(
+    seed, n, m, span, tenths, metric, fill, tolerance, alpha_kind, zero_ell
+):
+    """Ball-query candidates and batch pricing give the per-position scan's
+    tour, or None: random tours have long legs and so large balls; small
+    coordinate spans force duplicate points and tied objectives, and a huge
+    one distances whose sums round; coordinates in tenths give new edges
+    that round down to exactly the length limit; a zero average pair
+    distance makes an infinite tolerance's limit NaN."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 20, size=m).astype(float)
+    coords = rng.integers(0, span * (10 if tenths else 1), size=(n, 2)) / (10 if tenths else 1)
+    inst = _inst(
+        coords,
+        metric=metric,
+        profits=rng.integers(0, 100, size=m).astype(float),
+        weights=weights,
+        item_city=rng.integers(1, n, size=m),
+        capacity=max(float(weights.sum()) * (1.0 if fill == "full" else 0.5), 1.0),
+        renting_rate=float(rng.integers(0, 4)),
+    )
+    plan = PackingPlan.empty(inst)
+    if fill == "full":
+        plan = PackingPlan(inst, np.ones(m, dtype=bool))
+    elif fill == "partial":
+        for item in rng.permutation(m):
+            if rng.random() < 0.5 and plan.can_add(int(item)):
+                plan.add(int(item))
+    alpha = {"0": 0.0, "1": 1.0, "random": float(rng.random())}[alpha_kind]
+    order = np.concatenate(([0], rng.permutation(np.arange(1, n))))
+    sol = Solution.evaluated(inst, Tour(order), plan, alpha)
+    ell = 0.0 if zero_ell else average_pair_distance(inst)
+    got = two_opt_exploit(inst, sol, alpha, tolerance, ell)
+    assert _same_tour(got, sequential_two_opt_exploit(inst, sol, alpha, tolerance, ell))
+
+
+@pytest.mark.parametrize("tolerance", [0.001, 0.05])
+def test_two_opt_exploit_matches_sequential_scan_n1000(tolerance):
+    """A constructed tour and a packed plan, as the solver's pivots are;
+    this pivot has an improving admissible neighbor at both tolerances."""
+    inst = random_instance(np.random.default_rng(21), 1000, 1000, coord_range=5000)
+    rng = np.random.default_rng(6)
+    tour = construct_tour(inst, rng)
+    plan = pack_tour(inst, TourContext(inst, tour), [0.9], 12, 41, rng)[0]
+    sol = Solution.evaluated(inst, tour, plan, 0.9)
+    ell = average_pair_distance(inst)
+    got = two_opt_exploit(inst, sol, 0.9, tolerance, ell)
+    assert got is not None
+    assert _same_tour(got, sequential_two_opt_exploit(inst, sol, 0.9, tolerance, ell))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 300),
+    scale=st.sampled_from([1.0, 1000.0, 1e9, 1e17, 1e150]),
+    integral=st.booleans(),
+    metric=st.sampled_from(["CEIL_2D", "EUC_2D"]),
+)
+def test_average_pair_distance_equals_per_city_sum(seed, n, scale, integral, metric):
+    """Row blocks give the one-city-at-a-time sum bit for bit, also where
+    distances pass 2**53 and the sum rounds."""
+    coords = np.random.default_rng(seed).random((n, 2)) * scale
+    if integral:
+        coords = np.floor(coords)
+    inst = _inst(coords, metric=metric)
+    assert average_pair_distance(inst) == sequential_average_pair_distance(inst)
+
+
+def test_two_opt_exploit_admits_moves_at_the_limit():
+    """A move whose length grows by exactly the limit is admissible: with
+    the limit set to the length change of the best move overall, that
+    move is still the answer."""
+    rng = np.random.default_rng(41)
+    found = 0
+    for _ in range(30):
+        inst = random_instance(rng, int(rng.integers(4, 10)), 6)
+        order = np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
+        plan = PackingPlan.empty(inst)
+        for item in rng.permutation(inst.m):
+            if plan.can_add(int(item)):
+                plan.add(int(item))
+        sol = Solution.evaluated(inst, Tour(order), plan, 0.2)
+        best = sequential_two_opt_exploit(inst, sol, 0.2, float("inf"), 1.0)
+        if best is None:
+            continue
+        delta = inst.tour_length(best.order) - inst.tour_length(order)
+        found += 1
+        assert _same_tour(two_opt_exploit(inst, sol, 0.2, delta, 1.0), best)
+    assert found
+
+
+
+def test_two_opt_exploit_finds_moves_whose_new_edges_round_down():
+    """The best move here adds two edges that round down to the lengths of
+    the edges they replace, so its length change is exactly the zero
+    limit: the search radius must reach past the rounded distances."""
+    coords = [(3.3, 5.5), (5.9, 5.5), (1.1, 3.4), (3.0, 1.4), (1.2, 3.9), (1.0, 1.8)]
+    inst = _inst(coords, metric="EUC_2D", profits=[1.0], weights=[9.0], item_city=[2], capacity=10)
+    sol = _solution(inst, [0, 3, 2, 5, 1, 4], [0], 0.0)
+    got = two_opt_exploit(inst, sol, 0.0, 0.0, 1.0)
+    assert got is not None and got.order.tolist() == [0, 3, 4, 1, 5, 2]
+    assert _same_tour(got, sequential_two_opt_exploit(inst, sol, 0.0, 0.0, 1.0))
