@@ -337,8 +337,10 @@ def _load_bounds(args: argparse.Namespace) -> ObjectiveBounds:
             )
         except KeyError as exc:
             raise ValueError(f"{args.bounds_file}: missing bounds field {exc}") from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"{args.bounds_file}: bounds must be numbers") from None
+    if not all(math.isfinite(x) for x in (gmin, gmax, hmin, hmax)):
+        raise ValueError("bounds must be finite")
     if gmax < gmin or hmax < hmin:
         raise ValueError("bounds must satisfy min <= max on both objectives")
     return ObjectiveBounds(gmin, gmax, hmin, hmax)
@@ -364,7 +366,10 @@ def cmd_hv(args: argparse.Namespace) -> int:
             rows = read_front_csv(path)
             points = [(g, h) for g, h, _ in rows]
             _validate_front(points, str(path))
-            hv = hypervolume(normalize(points, bounds), HV_REF) if points else 0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                hv = hypervolume(normalize(points, bounds), HV_REF) if points else 0.0
+            if not math.isfinite(hv):
+                raise ValueError(f"{path}: the front lies too far outside the bounds to score")
         except (OSError, ValueError) as exc:
             print(f"hv: {exc}", file=sys.stderr)
             return INPUT_ERROR

@@ -12,14 +12,24 @@ returned, never worse than the empty plan.
 
 All attempts of all packings for one tour run together (:func:`pack_tour`).
 Each attempt is a lane, and the lanes advance rank by rank in lockstep:
-one step adds the next item of every lane where it fits, and the lanes due
-a re-check are priced in one row-wise pass.  Whole packings are in flight
-at a time, as many as ``LANE_CELLS`` allows, and the next packing starts
-as soon as the lanes of one have finished.  The plans, and the state the
-random generator is left in, are identical to running the attempts one
-after another: the exponents are drawn in the same order, every lane does
-the same floating-point operations in the same order, and ties between
-attempts go to the earlier one.
+one step adds the next item of every lane where it fits, and re-checks the
+lanes that are due.  Whole packings are in flight at a time, as many as
+``LANE_CELLS`` allows, and the next packing starts as soon as the lanes of
+one have finished.
+
+Most re-checks are decided without pricing a travel time.  Picks only make
+the tour slower, and by how much is bounded from the weight each added item
+hauls over its carry distance (:func:`recheck_bounds`).  Where the bounds,
+widened by the rounding of both computed objectives, put the new objective
+surely above or surely not above the committed one, the re-check commits or
+rolls back at once; only the rest are priced, in one row-wise pass per step
+together with any committed plan whose objective is not yet known.
+
+The plans, and the state the random generator is left in, are identical to
+running the attempts one after another: the exponents are drawn in the same
+order, every priced objective is the same floating-point computation on the
+same pickup weights, a decided re-check goes the way the priced one would,
+and ties between attempts go to the earlier one.
 """
 
 from __future__ import annotations
@@ -62,10 +72,16 @@ def carry_distances(ctx: TourContext) -> np.ndarray:
 
 
 def _score_rows(inst: ProblemInstance, dist: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Item scores under each row (a, b, c) of ``exponents``, normalized to sum to 1."""
+    """Item scores under each row (a, b, c) of ``exponents``, normalized to sum to 1.
+
+    An item carried no distance scores inf, or NaN if its profit is 0 too;
+    :func:`_descending` ranks those first and last.  Both are intended
+    values, so the division reports no warning.
+    """
     total = exponents[:, 0] + exponents[:, 1] + exponents[:, 2]
     a, b, c = (exponents[:, j, None] / total[:, None] for j in range(3))
-    return inst.profits**a / (inst.weights**b * dist**c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return inst.profits**a / (inst.weights**b * dist**c)
 
 
 def _descending(scores: np.ndarray) -> np.ndarray:
@@ -160,6 +176,10 @@ def pack_tour(
     two ``(rows, m)`` arrays, sized by ``LANE_CELLS``: the item at each rank
     and whether it is picked.  As soon as ``attempts`` rows are free, the
     next packing takes them.
+
+    A due re-check prices nothing when :func:`recheck_bounds` decides it.
+    A commit made that way leaves the committed objective unknown until a
+    later undecided re-check, or the lane's end, prices that plan.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
@@ -170,9 +190,11 @@ def pack_tour(
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha {alpha} outside [0, 1]")
     n, m = inst.n, inst.m
-    weights, profits, item_pos = inst.weights, inst.profits, ctx.item_pos
+    weights, profits = inst.weights, inst.profits
     capacity, rent = inst.capacity, inst.renting_rate
     dist = carry_distances(ctx)
+    with np.errstate(over="ignore"):
+        haul = weights * dist
     empty_time = ctx.time_from_positions(np.zeros(n))
 
     packings_in_flight = min(len(alphas), max(1, LANE_CELLS // (attempts * max(n, m))))
@@ -189,6 +211,10 @@ def pack_tour(
     best_items = [np.zeros(0, dtype=np.int32)] * len(alphas)
     s = _Lanes()
     admitted = 0
+
+    def plan_times(lanes: np.ndarray, limits: np.ndarray) -> np.ndarray:
+        return _plan_times(ctx, order, picked, s.row[lanes], limits, chunk)
+
     while True:
         while admitted < len(alphas) and len(free) >= attempts:
             p, alpha = admitted, alphas[admitted]
@@ -201,6 +227,10 @@ def pack_tour(
 
         done = (s.rank > m) | (s.phi < 1)
         if done.any():
+            stale = np.flatnonzero(done & ~s.c_exact)
+            if stale.size:
+                times = plan_times(stale, s.c_picks[stale])
+                s.c_f[stale] = scalarized(s.alpha[stale], s.c_profit[stale], times, rent)
             finished = zip(
                 s.row[done].tolist(),
                 s.packing[done].tolist(),
@@ -227,19 +257,34 @@ def pack_tour(
         fit = new_weight <= capacity
         np.copyto(s.weight, new_weight, where=fit)
         s.profit += np.where(fit, profits[items], 0.0)
+        s.haul += np.where(fit, haul[items], 0.0)
         picked_flat[cell] = fit
         s.pending |= fit
 
         due = np.flatnonzero(s.pending & (s.rank % s.phi == 0))
         if due.size:
-            times = []
-            for lanes in np.split(due, range(chunk, due.size, chunk)):
-                wpos = _pickup_weights(inst, item_pos, order, picked, s.row[lanes], s.rank[lanes].max())
-                times.append(ctx.row_times(wpos))
-            f = scalarized(s.alpha[due], s.profit[due], np.concatenate(times), rent)
-            better = f > s.c_f[due]
+            better, worse = recheck_bounds(
+                inst, empty_time, s.alpha[due], s.profit[due], s.haul[due],
+                s.weight[due], s.c_profit[due], s.c_weight[due],
+            )
+            undecided = ~(better | worse)
+            priced = due[undecided]
+            if priced.size:
+                # Price the undecided plans, and the committed plans they are
+                # compared with where a bound-made commit left those unknown.
+                stale = priced[~s.c_exact[priced]]
+                times = plan_times(
+                    np.concatenate((priced, stale)),
+                    np.concatenate((s.rank[priced], s.c_picks[stale])),
+                )
+                s.c_f[stale] = scalarized(s.alpha[stale], s.c_profit[stale], times[priced.size:], rent)
+                f = scalarized(s.alpha[priced], s.profit[priced], times[: priced.size], rent)
+                gain = f > s.c_f[priced]
+                better[undecided] = gain
+                s.c_f[priced[gain]] = f[gain]
+                s.c_exact[priced] = True
             up = due[better]
-            s.c_f[up] = f[better]
+            s.c_exact[due[better & ~undecided]] = False
             s.c_picks[up] = s.rank[up]
             s.c_weight[up] = s.weight[up]
             s.c_profit[up] = s.profit[up]
@@ -251,6 +296,7 @@ def pack_tour(
                 s.rank[back] = np.maximum(s.c_picks[back], 1)
                 s.phi[back] //= 2
                 picked[s.row[back]] &= np.arange(m) < s.c_picks[back, None]
+            s.haul[due] = 0.0
             s.pending[due] = False
         s.rank += 1
 
@@ -260,6 +306,81 @@ def pack_tour(
         selected[items] = True
         plans.append(PackingPlan(inst, selected))
     return plans
+
+
+def recheck_bounds(
+    inst: ProblemInstance,
+    empty_time: float,
+    alpha: np.ndarray,
+    profit: np.ndarray,
+    haul: np.ndarray,
+    weight: np.ndarray,
+    c_profit: np.ndarray,
+    c_weight: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-checks decided without pricing: masks of the lanes whose new plan
+    surely beats the committed one, and of those it surely does not.
+
+    A lane's new plan adds picks to its committed plan; ``haul`` is the sum
+    of weight * carry distance over those picks, ``profit``/``weight`` and
+    ``c_profit``/``c_weight`` the totals of the new and committed plans, and
+    ``empty_time`` the travel time of the empty plan.  "Beats" means the
+    objective ``scalarized`` computes from ``TourContext`` row times, with
+    its rounding, is strictly higher, so a decided lane goes the way the
+    priced re-check would.  Lanes in neither mask must be priced.
+
+    Derivation.  Let s be the speed slope and v(w) = max(v_max - s w, v_min)
+    the speed at carried weight w.  Each leg i of length d_i is walked at
+    v(o_i) under the committed plan and v(o_i + e_i) under the new one,
+    where o_i <= W_c (committed weight) and o_i + e_i <= W_n (new weight).
+    As 0 <= v(o) - v(o + e) <= s e and both speeds lie in [v(W_n), v_max],
+
+        s e / v_max**2  <=  1/v(o + e) - 1/v(o)  <=  s e / (v(W_c) v(W_n)),
+
+    except that the lower bound fails by at most the clamp at v_min, which
+    rounding in s can reach just below the capacity: by at most
+    (n + m + 2) 2**-53 v_max in speed, so (n + m + 2) 2**-53 T_0 in total
+    for the empty plan's time T_0.  An added item of weight w at position p
+    adds w to e_i for every leg i >= p, whose lengths sum to its carry
+    distance, so summing d_i times the bounds over the legs gives, with
+    X = ``haul``,
+
+        L = s X / v_max**2  <=  T_n - T_c  <=  U = s X / (v(W_c) v(W_n)).
+
+    With a = (1 - alpha) R and P = alpha * profit, the new objective
+    exceeds the committed one by dP - a (T_n - T_c), where dP = P_n - P_c,
+    so it is surely higher if dP - a U > M and surely not if dP - a L < -M,
+    for M at least the rounding error of the two computed objectives and of
+    this test.  A computed row time sums n legs over speeds from pickup
+    weights summed from at most m items, so it is within
+    (2n + m + 4) 2**-53 (v_max / v_min) of the real one, relative; v(W)
+    and X here carry errors of the same kind, L and U relative errors below
+    (n + m + 8) 2**-53 (v_max / v_min), and the subtractions of the
+    objectives and of the test a few 2**-53 of P_n + P_c + a (T_n + T_c).
+    Both times are at most T_up = T_0 v_max / v(W_n), so
+
+        M = eps (P_n + P_c + a T_up + a (L + U)),
+        eps = 16 (n + m + 16) (v_max / v_min) 2**-53
+
+    covers all of it with room to spare.  Legs are whole numbers, so T_0 is
+    0 (and then X is too) or at least 1 / v_max, and underflow in L or U
+    stays far inside M.  An overflow makes a bound or M inf or NaN, and
+    every comparison with it leaves the lane undecided.
+    """
+    v_max, v_min = inst.max_speed, inst.min_speed
+    slope = (v_max - v_min) / inst.capacity
+    eps = 16.0 * (inst.n + inst.m + 16) * (v_max / v_min) * 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_now = np.maximum(v_max - slope * weight, v_min)
+        v_commit = np.maximum(v_max - slope * c_weight, v_min)
+        lower = slope / (v_max * v_max) * haul
+        upper = slope * haul / (v_commit * v_now)
+        a = (1.0 - alpha) * inst.renting_rate
+        p_new, p_commit = alpha * profit, alpha * c_profit
+        gain = p_new - p_commit
+        t_up = empty_time * v_max / v_now
+        margin = eps * (p_new + p_commit + a * t_up + a * (lower + upper))
+        return gain - a * upper > margin, gain - a * lower < -margin
 
 
 def _draw_exponents(rng: np.random.Generator, attempts: int) -> np.ndarray:
@@ -273,27 +394,48 @@ def _draw_exponents(rng: np.random.Generator, attempts: int) -> np.ndarray:
     return out
 
 
-def _pickup_weights(
-    inst: ProblemInstance,
-    item_pos: np.ndarray,
+def _plan_times(
+    ctx: TourContext,
     order: np.ndarray,
     picked: np.ndarray,
     rows: np.ndarray,
-    ranks: int,
+    limits: np.ndarray,
+    chunk: int,
 ) -> np.ndarray:
-    """Weight picked up at each tour position by the picks of ``rows``, all
-    within their first ``ranks`` ranks.
+    """Travel time of the plan made of the picks of row ``rows[k]`` before
+    index ``limits[k]``, one entry per k, priced ``chunk`` rows at a time."""
+    if rows.size <= chunk:
+        return ctx.row_times(_pickup_weights(ctx, order, picked, rows, limits))
+    return np.concatenate([
+        ctx.row_times(_pickup_weights(ctx, order, picked, rows[i : i + chunk], limits[i : i + chunk]))
+        for i in range(0, rows.size, chunk)
+    ])
+
+
+def _pickup_weights(
+    ctx: TourContext,
+    order: np.ndarray,
+    picked: np.ndarray,
+    rows: np.ndarray,
+    limits: np.ndarray,
+) -> np.ndarray:
+    """Weight picked up at each tour position by the picks of row
+    ``rows[k]`` before index ``limits[k]``, one row per k.
 
     The weights are added to zeros in rank order (``np.bincount`` adds in
     input order), the order in which one greedy attempt adds them, so each
     row equals that attempt's pickup weights bit for bit.
     """
-    lane, rank = np.nonzero(picked[rows, :ranks])
-    items = order[rows[lane], rank]
+    n, width = ctx.inst.n, limits.max()
+    mask = picked[rows, :width]
+    if limits.min() < width:
+        mask &= np.arange(width) < limits[:, None]
+    cells = np.flatnonzero(mask)
+    items = order[rows, :width].ravel()[cells]
     flat = np.bincount(
-        lane * inst.n + item_pos[items], weights=inst.weights[items], minlength=rows.size * inst.n
+        cells // width * n + ctx.item_pos[items], weights=ctx.inst.weights[items], minlength=rows.size * n
     )
-    return flat.reshape(rows.size, inst.n)
+    return flat.reshape(rows.size, n)
 
 
 class _Lanes:
@@ -301,15 +443,17 @@ class _Lanes:
 
     ``row`` is a lane's row in the ``(rows, m)`` arrays and ``cell0`` the
     flat offset of that row, less one for the 1-based ``rank`` of the next
-    item to analyze.  The ``c_`` fields hold the committed plan: the picks
-    of the first ``c_picks`` ranks are final, and a rollback resumes after
-    rank ``max(c_picks, 1)``.
+    item to analyze.  ``haul`` sums weight * carry distance over the picks
+    since the committed plan.  The ``c_`` fields hold the committed plan:
+    the picks of the first ``c_picks`` ranks are final, a rollback resumes
+    after rank ``max(c_picks, 1)``, and ``c_f`` is its objective where
+    ``c_exact`` is set, unknown where it is not.
     """
 
     __slots__ = (
         "row", "cell0", "packing", "attempt", "alpha",
-        "rank", "phi", "weight", "profit", "pending",
-        "c_picks", "c_weight", "c_profit", "c_f",
+        "rank", "phi", "weight", "profit", "haul", "pending",
+        "c_picks", "c_weight", "c_profit", "c_f", "c_exact",
     )
 
     def __init__(self) -> None:
@@ -328,9 +472,10 @@ class _Lanes:
             "packing": np.full(k, packing), "attempt": np.arange(k),
             "alpha": np.full(k, alpha),
             "rank": np.ones(k, dtype=np.int64), "phi": np.full(k, phi),
-            "weight": np.zeros(k), "profit": np.zeros(k), "pending": np.zeros(k, dtype=bool),
+            "weight": np.zeros(k), "profit": np.zeros(k), "haul": np.zeros(k),
+            "pending": np.zeros(k, dtype=bool),
             "c_picks": np.zeros(k, dtype=np.int64), "c_weight": np.zeros(k),
-            "c_profit": np.zeros(k), "c_f": np.full(k, empty_f),
+            "c_profit": np.zeros(k), "c_f": np.full(k, empty_f), "c_exact": np.ones(k, dtype=bool),
         }
 
     def admit(self, rows: np.ndarray, *args) -> None:

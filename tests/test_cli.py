@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -295,6 +296,26 @@ def test_non_finite_front_row_rejected(tmp_path, capsys, row):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bounds", [[0, math.nan, 0, 1], [0, 1, -math.inf, 1], [10**400, 1, 0, 1]])
+def test_hv_command_bounds_must_be_finite_numbers(tmp_path, bounds):
+    front = tmp_path / "f.csv"
+    front.write_text("profit,time\n1.0,1.0\n")
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(dict(zip(("profit_min", "profit_max", "time_min", "time_max"), bounds))))
+    assert main(["hv", str(front), "--bounds-file", str(path)]) == 2
+
+
+def test_hv_command_front_too_far_outside_bounds(tmp_path, capsys):
+    """Normalizing 1e308 against bounds of +-1e308 overflows: an input
+    error, not a NaN hypervolume."""
+    front = tmp_path / "f.csv"
+    front.write_text("profit,time\n1e308,-1e308\n")
+    path = tmp_path / "b.json"
+    path.write_text('{"profit_min": -1e308, "profit_max": 1e308, "time_min": -1e308, "time_max": 1e308}')
+    assert main(["hv", str(front), "--bounds-file", str(path)]) == 2
+    assert "too far outside the bounds" in capsys.readouterr().err
+
+
 def test_hv_command_usage_errors(tmp_path):
     front = tmp_path / "f.csv"
     front.write_text("profit,time\n1.0,1.0\n")
@@ -398,3 +419,80 @@ def test_solve_mutated_minimal_end_to_end(tmp_path, edits):
     assert rc in (0, 1, 2)
     if rc == 0:
         assert main(["hv", str(out / "front.csv"), "--bounds-file", str(out / "report.json")]) == 0
+
+
+def test_solve_zero_carry_distance_is_silent(tmp_path):
+    """City 2 at the depot's point: an item there can be carried no
+    distance, and its score is inf without a warning on stderr."""
+    import subprocess
+    import sys
+
+    instance = tmp_path / "zero_carry.ttp"
+    instance.write_text(MINIMAL.replace("\n2 3 0\n", "\n2 0 0\n"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bittp", "solve", "--instance", str(instance), "--iterations", "3",
+         "--output-dir", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+_HV_FRONT = "profit,time,alpha\n0.0,10.0,\n50.0,20.0,0.5\n100.0,30.0,1.0\n"
+_HV_BOUNDS = {"profit_min": 0, "profit_max": 100, "time_min": 10, "time_max": 30}
+_HV_FUZZ_TEXT = [
+    "0", "-0", "1", "-1", "0.5", "1e308", "-1e308", "1e400", "-1e400", "5e-324", "nan", "inf", "-inf",
+    "1" + "0" * 400, "", " ", "x", ",", "\udcff", "1,2", "true", "null", "[]", "{}", '"1"',
+]
+_HV_FUZZ_JSON = [
+    0, -1, 0.5, 1e308, -1e308, 5e-324, 10**400, -(10**400), float("nan"), float("inf"), float("-inf"),
+    True, None, "1", "x", [], [1], {}, {"bounds": 1},
+]
+_hv_text_edit = st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 80),
+    st.integers(0, 6),
+    st.sampled_from(_HV_FUZZ_TEXT),
+)
+
+
+def _edit_text(text, edits):
+    for kind, at, width, value in edits:
+        at = min(at, len(text))
+        if kind == "replace":
+            text = text[:at] + value + text[at + width :]
+        elif kind == "insert":
+            text = text[:at] + value + text[at:]
+        else:
+            text = text[:at] + text[at + width :]
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    front_edits=st.lists(_hv_text_edit, max_size=4),
+    bound_values=st.dictionaries(st.sampled_from(sorted(_HV_BOUNDS)), st.sampled_from(_HV_FUZZ_JSON), max_size=4),
+    bound_drops=st.sets(st.sampled_from(sorted(_HV_BOUNDS))),
+    nest=st.booleans(),
+    bounds_edits=st.lists(_hv_text_edit, max_size=2),
+    cli_bounds=st.none() | st.lists(st.sampled_from(_HV_FUZZ_TEXT[:14]), min_size=4, max_size=4),
+)
+def test_hv_mutated_inputs(tmp_path, capsys, front_edits, bound_values, bound_drops, nest, bounds_edits, cli_bounds):
+    """Front CSVs and bounds files edited at random, bounds given on the
+    command line as extreme or malformed numbers: ``bittp hv`` exits 0, 1
+    or 2, never 3, and a hypervolume it prints is a finite number."""
+    bounds = {key: value for key, value in {**_HV_BOUNDS, **bound_values}.items() if key not in bound_drops}
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    front = out / "front.csv"
+    front.write_bytes(_edit_text(_HV_FRONT, front_edits).encode("utf-8", "surrogateescape"))
+    bounds_file = out / "bounds.json"
+    text = json.dumps({"bounds": bounds} if nest else bounds)
+    bounds_file.write_bytes(_edit_text(text, bounds_edits).encode("utf-8", "surrogateescape"))
+    args = ["--bounds", *cli_bounds] if cli_bounds else ["--bounds-file", str(bounds_file)]
+    capsys.readouterr()
+    rc = main(["hv", str(front), str(front), *args])
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        for line in capsys.readouterr().out.splitlines():
+            assert math.isfinite(float(line.rsplit(" ", 1)[1].rstrip("%")))

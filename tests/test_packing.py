@@ -2,19 +2,21 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bittp import (
     PackingPlan,
     ProblemInstance,
     Tour,
+    construct_tour,
     randomized_packing,
     reeval_period,
     score_items,
     weighted_objective,
 )
 from bittp import TourContext, packing
+from bittp.evaluation import scalarized
 from bittp.packing import pack_tour
 
 from gen import random_instance
@@ -277,6 +279,34 @@ def test_pack_tour_matches_sequential_property(
         packing.LANE_CELLS, packing.CHUNK_CELLS = saved
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    m=st.integers(1, 24),
+    alphas=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+    min_speed=st.sampled_from([1e-6, 1e-3, 0.5, 0.999999]),
+    rent=st.sampled_from([0.0, 1.0, 1e3]),
+    scale=st.sampled_from([1.0, 1e6, 1e15]),
+    full=st.booleans(),
+)
+def test_pack_tour_matches_sequential_at_extremes(seed, n, m, alphas, min_speed, rent, scale, full):
+    """The re-checks the bounds decide still give the sequential plans with
+    speed ratios down to 1e-6, R = 0, coordinates up to 1e15 and a knapsack
+    that every item fits into at once."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n, m)
+    inst = dataclasses.replace(
+        inst,
+        coords=np.floor(rng.random((n, 2)) * scale),
+        capacity=float(inst.weights.sum()) if full else inst.capacity,
+        min_speed=min_speed,
+        renting_rate=rent,
+    )
+    tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, n)))))
+    _assert_matches_sequential(inst, tour, alphas, 12, 41, seed + 1)
+
+
 def test_pack_tour_refills_rows_at_default_budget():
     """More packings than the default budget holds in flight at once."""
     rng = np.random.default_rng(7)
@@ -333,3 +363,112 @@ def test_row_times_match_time_from_positions():
         rows = np.stack([ctx.weight_by_position(mask) for mask in masks]).astype(float)
         want = [ctx.time_from_positions(r) for r in rows]
         assert ctx.row_times(rows).tolist() == want
+
+
+def _priced_recheck(inst, ctx, ranked, cut, alpha):
+    """Profits, weights and haul accumulated in rank order as a lane does,
+    and the two objectives priced exactly: the committed plan is the picks
+    ``ranked[:cut]``, the new plan all of ``ranked``."""
+    carry = packing.carry_distances(ctx)
+    profit = weight = haul = 0.0
+    wpos = np.zeros((2, inst.n))
+    for k, item in enumerate(ranked):
+        if k == cut:
+            c_profit, c_weight = profit, weight
+            wpos[0] = wpos[1]
+        profit += inst.profits[item]
+        weight += inst.weights[item]
+        wpos[1, ctx.item_pos[item]] += inst.weights[item]
+        if k >= cut:
+            haul += inst.weights[item] * carry[item]
+    times = ctx.row_times(wpos)
+    f_commit, f_new = (scalarized(alpha, p, t, inst.renting_rate) for p, t in zip((c_profit, profit), times))
+    return (profit, haul, weight, c_profit, c_weight), f_new, f_commit
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    picks=st.integers(1, 40),
+    speed_ratio=st.one_of(st.sampled_from([1e-6, 1e-3, 0.5]), st.floats(1e-6, 0.999)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rent=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e3)),
+    scale=st.sampled_from([1.0, 1e3, 1e9, 1e15]),
+    zero_profits=st.booleans(),
+    full=st.booleans(),
+    tail_at_depot=st.booleans(),
+)
+@example(  # the added items are carried no distance, their profit is lost in the rounding of a huge time
+    seed=5, n=5, picks=6, speed_ratio=0.1, alpha=0.01, rent=1.0, scale=1e15,
+    zero_profits=False, full=False, tail_at_depot=True,
+)
+def test_recheck_bounds_agree_with_priced_objectives(
+    seed, n, picks, speed_ratio, alpha, rent, scale, zero_profits, full, tail_at_depot
+):
+    """A re-check the bounds decide goes the way the priced one does: on a
+    committed plan and a plan that adds picks to it, with extreme speed
+    ratios, a knapsack filled to capacity, zero profits, alpha 0 or 1,
+    R = 0, coordinates up to 1e15 and items carried no distance."""
+    rng = np.random.default_rng(seed)
+    coords = np.floor(rng.random((n, 2)) * scale)
+    order = np.concatenate(([0], rng.permutation(np.arange(1, n))))
+    if tail_at_depot:
+        coords[order[n // 2 :]] = coords[0]
+    profits = rng.integers(1, 101, size=picks).astype(float)
+    if zero_profits:
+        profits[rng.random(picks) < 0.5] = 0.0
+    weights = rng.integers(1, 51, size=picks).astype(float)
+    item_city = np.where(rng.random(picks) < 0.5, order[-1], rng.integers(1, n, size=picks))
+    total = float(weights.sum())
+    inst = ProblemInstance(
+        name="bounds",
+        coords=coords,
+        profits=profits,
+        weights=weights,
+        item_city=item_city,
+        capacity=total if full else total * (1.0 + rng.random() * 3),
+        min_speed=speed_ratio,
+        max_speed=1.0,
+        renting_rate=rent,
+    )
+    ctx = TourContext(inst, Tour(order))
+    empty_time = ctx.time_from_positions(np.zeros(n))
+    ranked = rng.permutation(picks)
+    for cut in range(picks):
+        lane, f_new, f_commit = _priced_recheck(inst, ctx, ranked, cut, alpha)
+        better, worse = packing.recheck_bounds(inst, empty_time, np.array([alpha]), *(np.array([v]) for v in lane))
+        assert not (better[0] and worse[0])
+        if better[0]:
+            assert f_new > f_commit
+        if worse[0]:
+            assert f_new <= f_commit
+
+
+def test_recheck_bounds_decide_most_rechecks(monkeypatch):
+    """On a constructed n=280 tour, fewer travel times are priced than a
+    third of the re-checks made (about a quarter): the bounds decide the
+    rest."""
+    rng = np.random.default_rng(1)
+    inst = random_instance(rng, 280, 279)
+    tour = construct_tour(inst, rng)
+    rechecks = priced = 0
+    bounds = packing.recheck_bounds
+
+    def counted_bounds(*args):
+        nonlocal rechecks
+        rechecks += args[2].size
+        return bounds(*args)
+
+    class CountedContext(TourContext):
+        __slots__ = ()
+
+        def row_times(self, weight_by_pos):
+            nonlocal priced
+            priced += weight_by_pos.shape[0]
+            return super().row_times(weight_by_pos)
+
+    monkeypatch.setattr(packing, "recheck_bounds", counted_bounds)
+    pack_tour(inst, CountedContext(inst, tour), rng.random(117).tolist(), 12, 41, rng)
+    assert rechecks > 10_000
+    assert priced < rechecks / 3
