@@ -10,7 +10,9 @@ The instances are the benchmark's: ``make_instance(default_rng(1), n, 1,
 ``construct_tour`` tour, built once per size outside the timed rounds; the
 alphas are 117 uniform draws, and every round packs them with the solver's
 defaults (12 attempts, divisor 41) from a fresh ``default_rng(round)``, so
-every run times the same packings.
+every run times the same packings.  n=33810, m=33809 is the size of the
+pla33810 competition instances; its tour takes ~10 s to build, so it is
+timed for one round.
 """
 
 import functools
@@ -38,7 +40,7 @@ def _tour(n):
     return inst, TourContext(inst, construct_tour(inst, np.random.default_rng(0)))
 
 
-@pytest.mark.parametrize("n, rounds", [(280, 20), (4461, 5)])
+@pytest.mark.parametrize("n, rounds", [(280, 20), (4461, 5), (33810, 1)])
 def test_pack_tour(benchmark, n, rounds):
     inst, ctx = _tour(n)
     alphas = np.random.default_rng(2).random(ALPHAS).tolist()

@@ -399,19 +399,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite '--beta -inf' into '--beta=-inf': argparse would otherwise read
-    the bare '-inf' token as an option name."""
+# Options whose values may be negative numbers, and how many values each takes.
+_NUMERIC_OPTIONS = {"--beta": 1, "--bounds": 4}
+
+
+def _protect_negative_values(argv: list[str]) -> list[str]:
+    """Let the values of ``--beta`` and ``--bounds`` be negative numbers in
+    any form ``float`` reads, such as '-1e3' or '-inf'.
+
+    argparse reads a token that begins with '-' as an option name unless it
+    looks like '-5' or '-0.5', so such a value is passed on with a leading
+    space, which ``float`` ignores.  '--bounds=-1e3 0 0 1' is split into
+    '--bounds' and its first value, as argparse takes only one value after
+    '='.
+    """
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] == "--beta" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--beta={argv[i + 1]}")
-            i += 2
-        else:
+        name, eq, first = argv[i].partition("=")
+        count = _NUMERIC_OPTIONS.get(name)
+        if count is None:
             out.append(argv[i])
             i += 1
+            continue
+        values = ([first] if eq else []) + argv[i + 1 : i + 1 + count - len(eq)]
+        out.append(name)
+        out.extend(" " + value if value.startswith("-") and _is_number(value) else value for value in values)
+        i += 1 + count - len(eq)
     return out
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -419,7 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_negative_values(list(argv)))
+        args = parser.parse_args(_protect_negative_values(list(argv)))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else USAGE_ERROR
     try:

@@ -11,11 +11,12 @@ plan and halves ``phi``.  The best committed plan across attempts is
 returned, never worse than the empty plan.
 
 All attempts of all packings for one tour run together (:func:`pack_tour`).
-Each attempt is a lane, and the lanes advance rank by rank in lockstep:
-one step adds the next item of every lane where it fits, and re-checks the
-lanes that are due.  Whole packings are in flight at a time, as many as
-``LANE_CELLS`` allows, and the next packing starts as soon as the lanes of
-one have finished.
+Each attempt is a lane, and the lanes advance in lockstep, a re-check
+window per step: one step takes every lane from its rank to its next
+multiple of ``phi``, or to the last rank, adds the items of that window
+that fit, in rank order, and re-checks the lanes that picked something.
+Whole packings are in flight at a time, as many as ``LANE_CELLS`` allows,
+and the next packing starts as soon as the lanes of one have finished.
 
 Most re-checks are decided without pricing a travel time.  Picks only make
 the tour slower, and by how much is bounded from the weight each added item
@@ -27,9 +28,11 @@ together with any committed plan whose objective is not yet known.
 
 The plans, and the state the random generator is left in, are identical to
 running the attempts one after another: the exponents are drawn in the same
-order, every priced objective is the same floating-point computation on the
-same pickup weights, a decided re-check goes the way the priced one would,
-and ties between attempts go to the earlier one.
+order, a window's weights, profits and hauls are added left to right from
+the committed values as one attempt adds them, every priced objective is
+the same floating-point computation on the same pickup weights, a decided
+re-check goes the way the priced one would, and ties between attempts go
+to the earlier one.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ REEVAL_EPSILON = 1e-5
 
 # Cells of max(n, m) held by the lanes in flight.  A cell costs 5 bytes, an
 # int32 item and a boolean pick per rank, so 2**20 cells keep the lanes near
-# 5 MB.  A re-check prices its lanes in chunks of CHUNK_CELLS cells: each
-# float64 temporary stays near 128 KB, and a chunk scans picks only up to
-# the furthest rank among its lanes.  Of 2**12 to 2**16, 2**14 packed
-# fastest at n=280 and at n=4461.
+# 5 MB; a step's window arrays are no larger, as a window spans at most m
+# ranks of each lane.  2**19 to 2**21 packed alike at n=280 and n=4461.  A
+# re-check prices its lanes in chunks of CHUNK_CELLS cells: each float64
+# temporary stays near 128 KB, and a chunk scans picks only up to the
+# furthest rank among its lanes.  At n=4461, 2**14 and 2**15 packed
+# fastest, ahead of 2**13 and 2**16 to 2**18.
 LANE_CELLS = 1 << 20
 CHUNK_CELLS = 1 << 14
 
@@ -177,7 +182,11 @@ def pack_tour(
     and whether it is picked.  As soon as ``attempts`` rows are free, the
     next packing takes them.
 
-    A due re-check prices nothing when :func:`recheck_bounds` decides it.
+    A step analyzes each lane's window, from its rank to its next re-check
+    rank (a multiple of its ``phi``) or to ``m``, as one row of a
+    ``(lanes, window)`` array (:func:`_greedy_picks`), and re-checks the
+    lanes that end their window at a re-check rank with something picked.
+    A re-check prices nothing when :func:`recheck_bounds` decides it.
     A commit made that way leaves the committed objective unknown until a
     later undecided re-check, or the lane's end, prices that plan.
     """
@@ -250,22 +259,26 @@ def pack_tour(
                 break
             continue
 
-        # Analyze the item at each lane's rank; pick it where it fits.
-        cell = s.cell0 + s.rank
-        items = order_flat[cell]
-        new_weight = s.weight + weights[items]
-        fit = new_weight <= capacity
-        np.copyto(s.weight, new_weight, where=fit)
-        s.profit += np.where(fit, profits[items], 0.0)
-        s.haul += np.where(fit, haul[items], 0.0)
-        picked_flat[cell] = fit
-        s.pending |= fit
+        # Analyze each lane's items up to its next re-check rank, or m, in
+        # one window, and re-check the lanes that picked something.
+        end = np.minimum(-(-s.rank // s.phi) * s.phi, m)
+        cols = np.arange((end - s.rank).max() + 1)
+        inside = cols < (end - s.rank + 1)[:, None]
+        cells = (s.cell0 + s.rank)[:, None] + cols
+        items = order_flat[np.where(inside, cells, 0)]
+        load = np.where(inside, weights[items], np.inf)
+        pick = _greedy_picks(load, s.c_weight, capacity)
+        picked_flat[cells[inside]] = pick[inside]
 
-        due = np.flatnonzero(s.pending & (s.rank % s.phi == 0))
+        due = np.flatnonzero((end % s.phi == 0) & pick.any(axis=1))
         if due.size:
+            # Running totals since the commit, added left to right from the
+            # committed values as one attempt adds them; unpicked cells add 0.
+            gains = np.where(pick[due], np.stack((load[due], profits[items[due]], haul[items[due]])), 0.0)
+            start = np.stack((s.c_weight[due], s.c_profit[due], np.zeros(due.size)))
+            weight, profit, hauled = np.concatenate((start[..., None], gains), axis=2).cumsum(axis=2)[..., -1]
             better, worse = recheck_bounds(
-                inst, empty_time, s.alpha[due], s.profit[due], s.haul[due],
-                s.weight[due], s.c_profit[due], s.c_weight[due],
+                inst, empty_time, s.alpha[due], profit, hauled, weight, s.c_profit[due], s.c_weight[due],
             )
             undecided = ~(better | worse)
             priced = due[undecided]
@@ -275,30 +288,26 @@ def pack_tour(
                 stale = priced[~s.c_exact[priced]]
                 times = plan_times(
                     np.concatenate((priced, stale)),
-                    np.concatenate((s.rank[priced], s.c_picks[stale])),
+                    np.concatenate((end[priced], s.c_picks[stale])),
                 )
                 s.c_f[stale] = scalarized(s.alpha[stale], s.c_profit[stale], times[priced.size:], rent)
-                f = scalarized(s.alpha[priced], s.profit[priced], times[: priced.size], rent)
+                f = scalarized(s.alpha[priced], profit[undecided], times[: priced.size], rent)
                 gain = f > s.c_f[priced]
                 better[undecided] = gain
                 s.c_f[priced[gain]] = f[gain]
                 s.c_exact[priced] = True
             up = due[better]
             s.c_exact[due[better & ~undecided]] = False
-            s.c_picks[up] = s.rank[up]
-            s.c_weight[up] = s.weight[up]
-            s.c_profit[up] = s.profit[up]
+            s.c_picks[up] = end[up]
+            s.c_weight[up] = weight[better]
+            s.c_profit[up] = profit[better]
             back = due[~better]
             if back.size:
-                # Roll back to the committed plan: drop the picks past it.
-                s.weight[back] = s.c_weight[back]
-                s.profit[back] = s.c_profit[back]
-                s.rank[back] = np.maximum(s.c_picks[back], 1)
+                # Roll back to the committed plan: drop the window's picks.
+                picked_flat[cells[back][inside[back]]] = False
+                end[back] = np.maximum(s.c_picks[back], 1)
                 s.phi[back] //= 2
-                picked[s.row[back]] &= np.arange(m) < s.c_picks[back, None]
-            s.haul[due] = 0.0
-            s.pending[due] = False
-        s.rank += 1
+        s.rank = end + 1
 
     plans = []
     for items in best_items:
@@ -383,6 +392,36 @@ def recheck_bounds(
         return gain - a * upper > margin, gain - a * lower < -margin
 
 
+def _greedy_picks(load: np.ndarray, weight: np.ndarray, capacity: float) -> np.ndarray:
+    """Which cells of each row the greedy picks, left to right: a cell is
+    picked where its load, added to the row's running weight (from
+    ``weight``), stays within ``capacity``.
+
+    Each pass adds the loads of the cells still to settle that fit on top of
+    the running weight, left to right from it with 0 for the others, so the
+    sums are the ones the greedy makes.  Loads are positive and float
+    addition is monotone, so a cell that does not fit on the running weight
+    does not fit on any later one, and every cell before the first load that
+    overflows the sum is settled.  That cell is not picked; the next pass
+    starts after it, from the sum before it.
+    """
+    pick = np.zeros(load.shape, dtype=bool)
+    cols = np.arange(load.shape[1])
+    rows = np.arange(load.shape[0])
+    first = np.zeros(rows.size, dtype=np.int64)
+    while rows.size:
+        rest = load[rows]
+        fits = (weight[:, None] + rest <= capacity) & (cols >= first[:, None])
+        total = np.cumsum(np.concatenate((weight[:, None], np.where(fits, rest, 0.0)), axis=1), axis=1)
+        over = fits & (total[:, 1:] > capacity)
+        stop = np.where(over.any(axis=1), over.argmax(axis=1), cols.size)
+        pick[rows] = fits & (cols < stop[:, None]) | pick[rows]
+        more = stop + 1 < cols.size
+        rows, first = rows[more], stop[more] + 1
+        weight = total[more, stop[more]]
+    return pick
+
+
 def _draw_exponents(rng: np.random.Generator, attempts: int) -> np.ndarray:
     """Three uniform draws per attempt, redrawn while all three are zero."""
     out = np.empty((attempts, 3))
@@ -443,16 +482,17 @@ class _Lanes:
 
     ``row`` is a lane's row in the ``(rows, m)`` arrays and ``cell0`` the
     flat offset of that row, less one for the 1-based ``rank`` of the next
-    item to analyze.  ``haul`` sums weight * carry distance over the picks
-    since the committed plan.  The ``c_`` fields hold the committed plan:
-    the picks of the first ``c_picks`` ranks are final, a rollback resumes
-    after rank ``max(c_picks, 1)``, and ``c_f`` is its objective where
-    ``c_exact`` is set, unknown where it is not.
+    item to analyze.  The ``c_`` fields hold the committed plan: the picks
+    of the first ``c_picks`` ranks are final, a rollback resumes after rank
+    ``max(c_picks, 1)``, and ``c_f`` is its objective where ``c_exact`` is
+    set, unknown where it is not.  Between windows a lane's plan is its
+    committed one: a window picks nothing, ends in a re-check that commits
+    or rolls back its picks, or ends the lane at rank ``m``.
     """
 
     __slots__ = (
         "row", "cell0", "packing", "attempt", "alpha",
-        "rank", "phi", "weight", "profit", "haul", "pending",
+        "rank", "phi",
         "c_picks", "c_weight", "c_profit", "c_f", "c_exact",
     )
 
@@ -472,8 +512,6 @@ class _Lanes:
             "packing": np.full(k, packing), "attempt": np.arange(k),
             "alpha": np.full(k, alpha),
             "rank": np.ones(k, dtype=np.int64), "phi": np.full(k, phi),
-            "weight": np.zeros(k), "profit": np.zeros(k), "haul": np.zeros(k),
-            "pending": np.zeros(k, dtype=bool),
             "c_picks": np.zeros(k, dtype=np.int64), "c_weight": np.zeros(k),
             "c_profit": np.zeros(k), "c_f": np.full(k, empty_f), "c_exact": np.ones(k, dtype=bool),
         }

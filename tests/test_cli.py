@@ -172,6 +172,7 @@ def test_usage_errors(toy3_file, tmp_path):
 def test_solve_beta_minus_inf_parses(toy3_file, tmp_path):
     out = tmp_path / "out"
     assert _solve(toy3_file, out, "--iterations", "5", "--beta", "-inf") == 0
+    assert _solve(toy3_file, tmp_path / "glued", "--iterations", "5", "--beta=-inf") == 0
 
 
 def test_determinism_byte_identical_front(toy3_file, tmp_path):
@@ -303,6 +304,25 @@ def test_hv_command_bounds_must_be_finite_numbers(tmp_path, bounds):
     path = tmp_path / "b.json"
     path.write_text(json.dumps(dict(zip(("profit_min", "profit_max", "time_min", "time_max"), bounds))))
     assert main(["hv", str(front), "--bounds-file", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "bounds, code",
+    [
+        (["--bounds", "-1e3", "100", "0", "10"], 0),
+        (["--bounds=-1e3", "100", "0", "10"], 0),
+        (["--bounds", "0", "100", "-1E+1", "10"], 0),
+        (["--bounds", "-inf", "100", "0", "10"], 2),
+        (["--bounds=-inf", "100", "0", "10"], 2),
+    ],
+)
+def test_hv_command_negative_bounds_in_any_float_form(tmp_path, capsys, bounds, code):
+    """argparse alone reads '-1e3' and '-inf' as option names (exit 1)."""
+    front = tmp_path / "f.csv"
+    front.write_text("profit,time\n1.0,1.0\n")
+    assert main(["hv", str(front), *bounds]) == code
+    if code == 2:
+        assert "bounds must be finite" in capsys.readouterr().err
 
 
 def test_hv_command_front_too_far_outside_bounds(tmp_path, capsys):

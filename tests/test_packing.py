@@ -240,17 +240,18 @@ def _assert_matches_sequential(inst, tour, alphas, attempts, divisor, seed):
     duplicates=st.booleans(),
     coincident=st.booleans(),
     tight=st.booleans(),
+    fractional=st.booleans(),
     lane_cells=st.sampled_from([1, 40, 200, packing.LANE_CELLS]),
     chunk_cells=st.sampled_from([1, 30, packing.CHUNK_CELLS]),
 )
 def test_pack_tour_matches_sequential_property(
-    seed, n, m, attempts, divisor, alphas, zero_profits, duplicates, coincident, tight,
+    seed, n, m, attempts, divisor, alphas, zero_profits, duplicates, coincident, tight, fractional,
     lane_cells, chunk_cells,
 ):
     """Edge data (no items, zero profits, identical items whose scores tie,
-    zero carry distances, nothing fits, several items per city), lane
-    budgets too small for even one packing, and re-checks split into
-    chunks down to one lane."""
+    zero carry distances, nothing fits, several items per city, fractional
+    values), lane budgets too small for even one packing, and re-checks
+    split into chunks down to one lane."""
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, n, m)
     profits = inst.profits.copy()
@@ -258,6 +259,15 @@ def test_pack_tour_matches_sequential_property(
     item_city = inst.item_city.copy()
     coords = inst.coords.copy()
     capacity = inst.capacity
+    if fractional and m:
+        # Profits 16 orders of magnitude apart make their sums depend on the
+        # order of the adds.  (Tenths, whose sums often land next to a
+        # capacity in tenths, would also test the fits, but can make the
+        # greedy keep a plan whose index-order weight is above capacity,
+        # which PackingPlan rejects; the explicit window cases test the fits.)
+        profits = profits * rng.uniform(0.5, 1.5, size=m) * 10.0 ** rng.integers(0, 17, size=m)
+        weights = weights * rng.uniform(0.5, 1.5, size=m)
+        capacity = max(float(weights.sum()) * rng.uniform(0.2, 0.8), float(weights.min()))
     if duplicates and m:
         copy_of = rng.integers(0, max(1, m // 3), size=m)
         profits, weights, item_city = profits[copy_of], weights[copy_of], item_city[copy_of]
@@ -472,3 +482,59 @@ def test_recheck_bounds_decide_most_rechecks(monkeypatch):
     pack_tour(inst, CountedContext(inst, tour), rng.random(117).tolist(), 12, 41, rng)
     assert rechecks > 10_000
     assert priced < rechecks / 3
+
+
+def test_pack_tour_rechecks_once_per_window(monkeypatch):
+    """On a constructed n=1000 tour, a lockstep step takes every lane to its
+    next re-check rank, so the bounds are called once per window end: about
+    70 times, where a rank per step called them about 700 times."""
+    rng = np.random.default_rng(1)
+    inst = random_instance(rng, 1000, 999)
+    tour = construct_tour(inst, rng)
+    calls = 0
+    bounds = packing.recheck_bounds
+
+    def counted_bounds(*args):
+        nonlocal calls
+        calls += 1
+        return bounds(*args)
+
+    monkeypatch.setattr(packing, "recheck_bounds", counted_bounds)
+    pack_tour(inst, TourContext(inst, tour), rng.random(117).tolist(), 12, 41, rng)
+    assert calls <= 150
+
+
+@pytest.mark.parametrize(
+    "weights, capacity, expected",
+    [
+        # Rank 7 fits as (W + 2.1) + 0.4 = 3.9, the capacity; W + (2.1 + 0.4) is above it.
+        ([0.2, 0.4, 0.6, 0.2, 2.7, 2.1, 0.4, 0.3], 3.9, [0, 1, 2, 3, 5, 6]),
+        # The window commits (W + 0.7) + 0.7 = 9.5, and rank 9 fits on it at
+        # exactly 9.9; on W + (0.7 + 0.7) = 9.500000000000002 it would not.
+        ([2.1, 2.4, 0.9, 2.7, 2.0, 0.7, 0.7, 0.8, 0.4], 9.9, [0, 1, 2, 3, 5, 6, 8]),
+    ],
+)
+def test_pack_tour_window_adds_as_the_greedy_does(weights, capacity, expected):
+    """A re-check window of phi = 4 ranks after a committed weight W of
+    ranks 1-4: rank 5 does not fit, ranks 6 and 7 do, and rank 8 fits on W
+    but not on the running weight.  The fits and the committed weight must
+    come from adding left to right from W, as the greedy adds.  Items
+    carried no distance score inf, so they rank in index order whatever
+    the exponents."""
+    weights = weights + [5.0] * (16 - len(weights))
+    inst = ProblemInstance(
+        name="window",
+        coords=[(0, 0), (3, 0), (0, 0)],
+        profits=[1.0] * 16,
+        weights=weights,
+        item_city=[2] * 16,
+        capacity=capacity,
+        min_speed=0.1,
+        max_speed=1.0,
+        renting_rate=1.0,
+    )
+    tour = Tour([0, 1, 2])
+    assert reeval_period(16, 5, 1.0) == 4
+    _assert_matches_sequential(inst, tour, [1.0], 12, 5, 0)
+    plan = pack_tour(inst, TourContext(inst, tour), [1.0], 12, 5, np.random.default_rng(0))[0]
+    assert plan.item_indices().tolist() == expected
