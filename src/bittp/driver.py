@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .archive import Archive
-from .evaluation import PackingPlan, Solution, Tour, TourContext, validate_solution
+from .evaluation import PackingPlan, Solution, Tour, TourContext
 from .instance import ProblemInstance
 from .packing import pack_tour
 from .tour_search import (
@@ -31,8 +31,6 @@ from .tour_search import (
     construct_tour,
     two_opt_exploit,
 )
-
-NEG_INF = float("-inf")
 
 
 class AlphaDistribution(str, Enum):
@@ -82,7 +80,6 @@ class WsmConfig:
     time_limit: float | None = None
     iterations: int | None = None
     seed: int = 0
-    debug_checks: bool = False
 
     def __post_init__(self) -> None:
         if self.packings_per_tour < 1:
@@ -129,7 +126,8 @@ def bit_flip_exploit(
     """Offer single-item flips of ``sol`` to the archive.
 
     Each item is flipped independently with ``flip_probability``; removals
-    are always proposed, additions only when they fit.  Proposals are
+    are always proposed, additions only when they fit (by the running total
+    and by the index-order sum :class:`PackingPlan` checks).  Proposals are
     built from the original plan and re-priced via a suffix time delta.
     Returns the number of archive insertions.
     """
@@ -154,6 +152,8 @@ def bit_flip_exploit(
                 continue
             plan = sol.plan.copy()
             plan.add(item)
+            if weights[plan.selected].sum() > inst.capacity:
+                continue
             profit = sol.profit + float(profits[item])
             t = ctx.flipped_time(times, item, add=True)
         if archive.add(profit, t, Solution(sol.tour, plan, profit, t, alpha)):
@@ -177,11 +177,6 @@ def run(
     neighbors = NeighborLists.build(inst)
     ell = average_pair_distance(inst)
 
-    def offer(sol: Solution) -> bool:
-        if config.debug_checks:
-            validate_solution(inst, sol, rel_tol=1e-6)
-        return archive.add(sol.profit, sol.time, sol)
-
     start = _time.perf_counter()
     cycle = 0
     while True:
@@ -201,17 +196,16 @@ def run(
             inst, ctx, alphas, config.packing_attempts, config.reeval_divisor, rngs["packing"]
         )
         for alpha, plan in zip(alphas, plans):
-            offer(
-                Solution(tour, plan, ctx.profit(plan.selected), ctx.travel_time(plan.selected), alpha)
-            )
+            profit, t = ctx.profit(plan.selected), ctx.travel_time(plan.selected)
+            archive.add(profit, t, Solution(tour, plan, profit, t, alpha))
 
         # Exploitation: improve the best archived solution for a fresh alpha.
         alpha = sample_alpha(config.alpha_dist, rngs["alpha"])
         pivot = archive.best_for_alpha(alpha, inst.renting_rate).solution
-        if config.two_opt_tolerance != NEG_INF:
-            improved = two_opt_exploit(inst, pivot, alpha, config.two_opt_tolerance, ell)
-            if improved is not None:
-                offer(Solution.evaluated(inst, improved, pivot.plan, alpha))
+        improved = two_opt_exploit(inst, pivot, alpha, config.two_opt_tolerance, ell)
+        if improved is not None:
+            sol = Solution.evaluated(inst, improved, pivot.plan, alpha)
+            archive.add(sol.profit, sol.time, sol)
         bit_flip_exploit(
             inst,
             pivot,

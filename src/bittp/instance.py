@@ -6,6 +6,9 @@ travel time.  Instance files use the de-facto benchmark layout: ``KEY:
 value`` header lines followed by ``NODE_COORD_SECTION`` and ``ITEMS
 SECTION``.  Files index cities and items from 1; internally everything is
 0-based and contiguous, with city 0 as the start/end of every tour.
+
+:meth:`ProblemInstance.pair_distances` is the one distance path: every
+rounded city distance the solver uses, scalar or array, is computed there.
 """
 
 from __future__ import annotations
@@ -58,12 +61,6 @@ class UnknownEdgeWeightTypeError(InstanceError):
 
 class InvalidInstanceError(InstanceError):
     """Field values violate a structural invariant."""
-
-
-def _round_distances(raw: np.ndarray, metric: str) -> np.ndarray:
-    if metric == CEIL_2D:
-        return np.ceil(raw)
-    return np.floor(raw + 0.5)
 
 
 @dataclass(frozen=True)
@@ -149,7 +146,11 @@ class ProblemInstance:
             if ((item_city < 0) | (item_city >= n)).any():
                 raise InvalidInstanceError("item home city out of range")
 
-        for arr in (coords, profits, weights, item_city):
+        # x and y as contiguous 1-D arrays, for pair_distances to gather with take.
+        xs, ys = np.ascontiguousarray(coords.T)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_ys", ys)
+        for arr in (coords, profits, weights, item_city, xs, ys):
             arr.setflags(write=False)
 
     @property
@@ -167,34 +168,33 @@ class ProblemInstance:
         n = self.n
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"city index out of range: {i}, {j}")
-        dx = self.coords[i, 0] - self.coords[j, 0]
-        dy = self.coords[i, 1] - self.coords[j, 1]
-        raw = math.sqrt(dx * dx + dy * dy)
-        if self.metric == CEIL_2D:
-            return math.ceil(raw)
-        return math.floor(raw + 0.5)
+        return int(self.pair_distances(i, j))
 
     def distances_from(self, i: int, to: np.ndarray | None = None) -> np.ndarray:
         """Rounded distances from city ``i`` to ``to`` (default: all cities)."""
-        return self.pair_distances(i, slice(None) if to is None else to)
+        return self.pair_distances(i, np.arange(self.n) if to is None else to)
 
     def pair_distances(self, p, q) -> np.ndarray:
-        """Rounded distances between the cities ``p`` and ``q`` (broadcast
-        index arrays); each is symmetric bit for bit."""
-        dx = self.coords[q, 0] - self.coords[p, 0]
-        dy = self.coords[q, 1] - self.coords[p, 1]
-        return _round_distances(np.sqrt(dx * dx + dy * dy), self.metric)
+        """Rounded distances between the cities ``p`` and ``q`` (indices or
+        broadcast index arrays), symmetric bit for bit.  The one distance
+        path: every rounded city distance in the solver is computed here."""
+        dx = np.asarray(self._xs.take(p) - self._xs.take(q))  # 0-d for two indices
+        dy = self._ys.take(p) - self._ys.take(q)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        if self.metric == CEIL_2D:
+            return np.ceil(dx, out=dx)
+        dx += 0.5
+        return np.floor(dx, out=dx)
 
     def leg_lengths(self, order: np.ndarray) -> np.ndarray:
         """Distances of consecutive legs of the cyclic tour ``order``.
 
         Entry ``i`` is the distance from ``order[i]`` to ``order[(i+1) % n]``.
         """
-        pts = self.coords[order]
-        nxt = np.roll(pts, -1, axis=0)
-        dx = pts[:, 0] - nxt[:, 0]
-        dy = pts[:, 1] - nxt[:, 1]
-        return _round_distances(np.sqrt(dx * dx + dy * dy), self.metric)
+        return self.pair_distances(order, np.roll(order, -1))
 
     def tour_length(self, order: np.ndarray) -> float:
         """Total cyclic length of the tour ``order``."""

@@ -313,6 +313,12 @@ def pack_tour(
     for items in best_items:
         selected = np.zeros(m, dtype=bool)
         selected[items] = True
+        # The greedy fits items by their rank-order running sum; PackingPlan's
+        # index-order sum can be an ulp above it: drop the last-ranked picks.
+        k = items.size
+        while weights[selected].sum() > capacity:
+            k -= 1
+            selected[items[k]] = False
         plans.append(PackingPlan(inst, selected))
     return plans
 

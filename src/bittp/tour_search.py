@@ -5,18 +5,19 @@ city followed by a candidate-restricted 2-opt plus Or-opt (segment
 lengths 1-3) descent to a local optimum; the random start supplies the
 per-cycle diversity the solver loop relies on.  The descent follows a
 don't-look queue but checks the queued cities in blocks: one numpy pass
-prices every candidate move of ``BLOCK`` cities straight from the
-coordinates, the first city in queue order that has an improving move
-makes its first move, and the cities before it count as clean.  The
-tours equal those of checking one city at a time, and no distance
-matrix is built.  Exploitation looks at the 2-opt neighbors of an
-incumbent tour, keeps those whose cycle length grows by at most
-``tolerance * average pair distance``, and returns the admissible
-neighbor with the best scalarized objective if it strictly improves.
-An admissible move joins cities near the ends of the edges it removes,
-so two fixed-radius ball queries on a k-d tree find every one of them
-without a scan over all pairs; the admissible moves are priced in numpy
-batches, each row equal to a full evaluation of its flipped tour.
+prices every candidate move of ``BLOCK`` cities, the first city in queue
+order that has an improving move makes its first move, and the cities
+before it count as clean.  The tours equal those of checking one city at
+a time, and no distance matrix is built: every distance, here as
+elsewhere, comes from :meth:`ProblemInstance.pair_distances`.
+Exploitation looks at the 2-opt neighbors of an incumbent tour, keeps
+those whose cycle length grows by at most ``tolerance * average pair
+distance``, and returns the admissible neighbor with the best scalarized
+objective if it strictly improves.  An admissible move joins cities near
+the ends of the edges it removes, so two fixed-radius ball queries on a
+k-d tree find every one of them without a scan over all pairs; the
+admissible moves are priced in numpy batches, each row equal to a full
+evaluation of its flipped tour.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .evaluation import Solution, Tour, TourContext, scalarized, total_profit, weighted_objective
-from .instance import ProblemInstance, _round_distances
+from .instance import ProblemInstance
 
 DEFAULT_NEIGHBORS = 16
 BLOCK = 64  # cities per numpy pass of the descent and of average_pair_distance
@@ -68,11 +69,8 @@ class NeighborLists:
 
 def distance_matrix(inst: ProblemInstance) -> np.ndarray:
     """Full rounded distance matrix; only sensible for moderate n."""
-    n = inst.n
-    out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        out[i] = inst.distances_from(i)
-    return out
+    cities = np.arange(inst.n)
+    return inst.pair_distances(cities[:, None], cities)
 
 
 def _nearest_neighbor_order(
@@ -104,27 +102,16 @@ class _Descent:
     ``near[a, t]`` is the distance from ``a`` to its ``t``-th neighbor, and
     while a tour descends ``leg[t]`` is the length of the edge leaving
     position ``t``; both are lookups where the one-city scan recomputed
-    distances.  Every distance is an integer held in a float64, so each
-    gain and each ``> 0.5`` test is exact in any evaluation order and
-    agrees with pricing the moves one city at a time.
+    distances, and the others come from ``inst.pair_distances``.  Every
+    distance is an integer held in a float64, so each gain and each
+    ``> 0.5`` test is exact in any evaluation order and agrees with
+    pricing the moves one city at a time.
     """
 
     def __init__(self, inst: ProblemInstance, neighbors: NeighborLists):
-        self.xs = np.ascontiguousarray(inst.coords[:, 0])
-        self.ys = np.ascontiguousarray(inst.coords[:, 1])
-        self.metric = inst.metric
+        self.inst = inst
         self.nbr = neighbors.indices
-        self.near = self.dist(np.arange(inst.n)[:, None], self.nbr)
-
-    def dist(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Rounded distances between the cities ``p`` and ``q`` (broadcast),
-        bit for bit those of ``ProblemInstance.distances_from``."""
-        dx = self.xs.take(p) - self.xs.take(q)
-        dy = self.ys.take(p) - self.ys.take(q)
-        dx *= dx
-        dy *= dy
-        dx += dy
-        return _round_distances(np.sqrt(dx, out=dx), self.metric)
+        self.near = inst.pair_distances(np.arange(inst.n)[:, None], self.nbr)
 
     def descend(self, order: np.ndarray) -> np.ndarray:
         """Descend ``order`` (changed in place) to a local optimum and return it.
@@ -141,7 +128,7 @@ class _Descent:
         self.order = order
         self.pos = np.empty(n, dtype=np.int64)
         self.pos[order] = np.arange(n)
-        self.leg = self.dist(order, np.roll(order, -1))
+        self.leg = self.inst.leg_lengths(order)
         ring = order.copy()
         head = 0
         size = n
@@ -191,6 +178,7 @@ class _Descent:
         move renews.  Returns None when no city of the block has a move.
         """
         n, order, pos, leg, near, nbr = self.n, self.order, self.pos, self.leg, self.near, self.nbr
+        dist = self.inst.pair_distances
         i = pos.take(cities)
         c = nbr.take(cities, axis=0)
         j = pos.take(c)
@@ -210,7 +198,7 @@ class _Descent:
         closer = np.logical_and.accumulate(d_ac[:, None, :] < d_ab[:, :, None], axis=2)
         r, s, t = np.nonzero(closer)
         gain = d_ab[r, s] + leg.take(edge_c[r, s, t], mode="wrap") - d_ac[r, t]
-        gain -= self.dist(b[r, s], d2[r, s, t])
+        gain -= dist(b[r, s], d2[r, s, t])
         hits = np.flatnonzero(gain > 0.5)
         if hits.size:
             r, s, t = r[hits[0]], s[hits[0]], t[hits[0]]
@@ -232,7 +220,7 @@ class _Descent:
         tail = order.take(end)
         prev = order.take(ii - 1)
         nxt = order.take(end + 1, mode="wrap")
-        removal = (leg.take(ii - 1) + leg.take(end) - self.dist(prev, nxt))[:, :, None]
+        removal = (leg.take(ii - 1) + leg.take(end) - dist(prev, nxt))[:, :, None]
         near_c = np.broadcast_to(c[:limit, None, :], (limit, 3, k))
         tail_nbr = nbr.take(tail, axis=0)
         cand = np.concatenate((near_c, tail_nbr), axis=2)
@@ -241,11 +229,11 @@ class _Descent:
         base = leg.take(jc)
         tail = tail[:, :, None]
         to_head = np.concatenate(
-            (np.broadcast_to(d_ac[:limit, None, :], (limit, 3, k)), self.dist(tail_nbr, head)), axis=2
+            (np.broadcast_to(d_ac[:limit, None, :], (limit, 3, k)), dist(tail_nbr, head)), axis=2
         )
-        to_tail = np.concatenate((self.dist(near_c, tail), near.take(tail[:, :, 0], axis=0)), axis=2)
-        cost_fwd = to_head + self.dist(tail, cnxt) - base
-        cost_rev = to_tail + self.dist(head, cnxt) - base
+        to_tail = np.concatenate((dist(near_c, tail), near.take(tail[:, :, 0], axis=0)), axis=2)
+        cost_fwd = to_head + dist(tail, cnxt) - base
+        cost_rev = to_tail + dist(head, cnxt) - base
         seg_end = ii[:, :, None] + _SEG[:, None]  # one past the segment
         hit = (
             (ii[:, :, None] >= 1)
@@ -292,7 +280,7 @@ class _Descent:
                 order[hi - seg_len : hi] = seg
         self.pos[order[lo:hi]] = np.arange(lo, hi)
         edges = np.arange(lo - 1, hi)
-        self.leg[edges] = self.dist(order[edges], order[(edges + 1) % n])
+        self.leg[edges] = self.inst.pair_distances(order[edges], order[(edges + 1) % n])
         return touched
 
 
@@ -366,9 +354,7 @@ def average_pair_distance(
         keep = ii != jj
         ii = ii[keep][:remaining]
         jj = jj[keep][:remaining]
-        diff = inst.coords[ii] - inst.coords[jj]
-        d = _round_distances(np.sqrt((diff * diff).sum(axis=1)), inst.metric)
-        total += float(d.sum())
+        total += float(inst.pair_distances(ii, jj).sum())
         remaining -= ii.shape[0]
     return total / sample_size
 

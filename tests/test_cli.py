@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bittp import total_profit, travel_time
+from bittp import Solution, total_profit, travel_time, validate_solution
 from bittp.cli import main, read_front_csv, read_solutions
-from bittp.instance import write_instance
+from bittp.instance import load_instance, write_instance
 
 from gen import random_instance
 from test_instance import MINIMAL
@@ -75,6 +75,28 @@ def test_solution_file_round_trips(toy3_file, tmp_path, toy3):
     for profit, time, tour, plan in sols:
         assert total_profit(toy3, plan) == pytest.approx(profit, rel=1e-6)
         assert travel_time(toy3, tour, plan) == pytest.approx(time, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [3, 7, 47, 63, 66])
+def test_solve_fractional_weights_writes_valid_plans(tmp_path, seed):
+    """Weights in tenths: a plan that fits by the running sums of the greedy
+    or of a bit flip can exceed the capacity by an ulp when summed in index
+    order, as ``PackingPlan`` sums it.  Each seed made such a plan while
+    only the running sums were checked: the packer on 3 and 7, the bit
+    flips on 3, 47, 63 and 66."""
+    inst = replace(
+        random_instance(np.random.default_rng(seed), 7, 21),
+        weights=np.random.default_rng(seed).integers(1, 10, size=21) / 10,
+        capacity=5.3,
+    )
+    path = tmp_path / "frac.ttp"
+    write_instance(inst, path)
+    inst = load_instance(path)
+    assert _solve(path, tmp_path / "out", "--iterations", "20", "--seed", "0") == 0
+    sols = read_solutions(tmp_path / "out" / "solutions.txt", inst)
+    assert sols
+    for profit, time, tour, plan in sols:
+        validate_solution(inst, Solution(tour, plan, profit, time))
 
 
 def test_max_solutions_caps_front(toy3_file, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bittp import CEIL_2D, EUC_2D, ProblemInstance, parse_instance
 from bittp.instance import (
+    EDGE_WEIGHT_TYPES,
     InconsistentCountsError,
     InstanceError,
     InvalidInstanceError,
@@ -16,6 +17,7 @@ from bittp.instance import (
     UnknownEdgeWeightTypeError,
     format_instance,
 )
+from oracles import _scalar_dist
 
 MINIMAL = """\
 PROBLEM NAME: mini
@@ -276,13 +278,56 @@ def test_distance_symmetric_nonnegative(i, j):
 
 
 def test_distances_from_matches_scalar(toy3):
-    row = toy3.distances_from(1)
-    assert [toy3.distance(1, j) for j in range(3)] == row.tolist()
+    dist = _scalar_dist(toy3)
+    assert toy3.distances_from(1).tolist() == [dist(1, j) for j in range(3)]
+    assert toy3.distances_from(1, np.array([2, 0])).tolist() == [dist(1, 2), dist(1, 0)]
 
 
 def test_leg_lengths(toy3):
+    dist = _scalar_dist(toy3)
+    assert toy3.leg_lengths(np.array([0, 2, 1])).tolist() == [dist(0, 2), dist(2, 1), dist(1, 0)]
     assert toy3.leg_lengths(np.array([0, 1, 2])).tolist() == [3.0, 5.0, 4.0]
     assert toy3.tour_length(np.array([0, 2, 1])) == 12.0
+
+
+_UNIT_OR_HALF = st.one_of(st.floats(-1, 1), st.integers(-8, 8).map(lambda k: k / 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(EDGE_WEIGHT_TYPES),
+    st.one_of(st.just(0), st.integers(-3, 150)),
+    st.lists(st.tuples(_UNIT_OR_HALF, _UNIT_OR_HALF), min_size=2, max_size=9),
+    st.data(),
+)
+def test_distance_path_matches_scalar_reference(metric, exponent, points, data):
+    """Every form of the distance path equals the scalar reference bit for
+    bit, at coordinate magnitudes from 1e-3 to 1e150.  Half-integer points
+    at scale 1 give distances of exactly k + 0.5, where EUC_2D rounds up."""
+    inst = ProblemInstance(
+        name="d",
+        coords=np.array(points) * 10.0**exponent,
+        profits=[],
+        weights=[],
+        item_city=[],
+        capacity=1,
+        min_speed=0.1,
+        max_speed=1.0,
+        renting_rate=0.0,
+        metric=metric,
+    )
+    dist = _scalar_dist(inst)
+    cities = np.arange(inst.n)
+    want = np.array([[dist(i, j) for j in cities] for i in cities], dtype=np.float64)
+    assert np.array_equal(inst.pair_distances(cities[:, None], cities), want)
+    for i in range(inst.n):
+        assert np.array_equal(inst.pair_distances(i, cities), want[i])
+        assert np.array_equal(inst.distances_from(i), want[i])
+        for j in range(inst.n):
+            assert inst.pair_distances(i, j) == want[i, j]
+            assert inst.distance(i, j) == dist(i, j)
+    order = np.array(data.draw(st.permutations(range(inst.n))))
+    assert np.array_equal(inst.leg_lengths(order), want[order, np.roll(order, -1)])
 
 
 def test_arrays_read_only(toy3):

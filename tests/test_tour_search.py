@@ -24,6 +24,7 @@ from bittp import tour_search
 from bittp.packing import pack_tour
 from gen import random_instance
 from oracles import (
+    _scalar_dist,
     brute_best_tour_length,
     sequential_average_pair_distance,
     sequential_construct_tour,
@@ -86,9 +87,8 @@ def test_neighbor_lists_equal_per_city_loop(k, span):
 
 def test_distance_matrix_matches_scalar(toy3):
     mat = distance_matrix(toy3)
-    for i in range(3):
-        for j in range(3):
-            assert mat[i, j] == toy3.distance(i, j)
+    dist = _scalar_dist(toy3)
+    assert mat.tolist() == [[dist(i, j) for j in range(3)] for i in range(3)]
 
 
 def test_construct_two_cities():
