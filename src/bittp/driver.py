@@ -17,12 +17,12 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .archive import Archive
-from .evaluation import PackingPlan, Solution, Tour, TourContext
+from .evaluation import PackingPlan, Solution, Tour, TourContext, total_profit, travel_time
 from .instance import ProblemInstance
 from .packing import pack_tour
 from .tour_search import (
@@ -113,6 +113,24 @@ def _spawn_streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
 
 
+def _cycles(
+    archive: Archive,
+    iterations: int | None,
+    time_limit: float | None,
+    on_cycle: Callable[[CycleStats], None] | None,
+) -> Iterator[None]:
+    """Yield once per cycle until ``iterations`` cycles ran or ``time_limit``
+    seconds passed, and hand ``on_cycle`` a snapshot after each cycle.  The
+    clock starts at the first cycle, after the caller's set-up."""
+    start = _time.perf_counter()
+    cycle = 0
+    while (cycle < iterations) if iterations is not None else (_time.perf_counter() - start < time_limit):
+        yield
+        cycle += 1
+        if on_cycle is not None:
+            on_cycle(CycleStats(cycle, _time.perf_counter() - start, archive))
+
+
 def bit_flip_exploit(
     inst: ProblemInstance,
     sol: Solution,
@@ -126,36 +144,23 @@ def bit_flip_exploit(
     """Offer single-item flips of ``sol`` to the archive.
 
     Each item is flipped independently with ``flip_probability``; removals
-    are always proposed, additions only when they fit (by the running total
-    and by the index-order sum :class:`PackingPlan` checks).  Proposals are
-    built from the original plan and re-priced via a suffix time delta.
-    Returns the number of archive insertions.
+    are always proposed, additions only when they fit
+    (:meth:`PackingPlan.flipped`).  Proposals are built from the original
+    plan and re-priced via a suffix time delta.  Returns the number of
+    archive insertions.
     """
     if inst.m == 0 or flip_probability == 0.0:
         return 0
     if ctx is None:
         ctx = TourContext(inst, sol.tour)
     times = ctx.plan_times(sol.plan.selected)
-    weights = inst.weights
-    profits = inst.profits
     accepted = 0
-    for item in range(inst.m):
-        if rng.random() >= flip_probability:
+    for item in np.flatnonzero(rng.random(inst.m) < flip_probability).tolist():
+        plan = sol.plan.flipped(item)
+        if plan is None:
             continue
-        if sol.plan.selected[item]:
-            plan = sol.plan.copy()
-            plan.remove(item)
-            profit = sol.profit - float(profits[item])
-            t = ctx.flipped_time(times, item, add=False)
-        else:
-            if sol.plan.total_weight + weights[item] > inst.capacity:
-                continue
-            plan = sol.plan.copy()
-            plan.add(item)
-            if weights[plan.selected].sum() > inst.capacity:
-                continue
-            profit = sol.profit + float(profits[item])
-            t = ctx.flipped_time(times, item, add=True)
+        profit = total_profit(inst, plan)
+        t = ctx.flipped_time(times, item, add=item in plan)
         if archive.add(profit, t, Solution(sol.tour, plan, profit, t, alpha)):
             accepted += 1
     return accepted
@@ -177,15 +182,7 @@ def run(
     neighbors = NeighborLists.build(inst)
     ell = average_pair_distance(inst)
 
-    start = _time.perf_counter()
-    cycle = 0
-    while True:
-        if config.iterations is not None:
-            if cycle >= config.iterations:
-                break
-        elif _time.perf_counter() - start >= config.time_limit:
-            break
-
+    for _ in _cycles(archive, config.iterations, config.time_limit, on_cycle):
         # Exploration: one fresh tour, many randomized packings.
         tour = construct_tour(inst, rngs["tour"], neighbors=neighbors)
         ctx = TourContext(inst, tour)
@@ -196,7 +193,7 @@ def run(
             inst, ctx, alphas, config.packing_attempts, config.reeval_divisor, rngs["packing"]
         )
         for alpha, plan in zip(alphas, plans):
-            profit, t = ctx.profit(plan.selected), ctx.travel_time(plan.selected)
+            profit, t = total_profit(inst, plan), ctx.travel_time(plan.selected)
             archive.add(profit, t, Solution(tour, plan, profit, t, alpha))
 
         # Exploitation: improve the best archived solution for a fresh alpha.
@@ -215,10 +212,6 @@ def run(
             alpha=alpha,
             ctx=TourContext(inst, pivot.tour),
         )
-
-        cycle += 1
-        if on_cycle is not None:
-            on_cycle(CycleStats(cycle, _time.perf_counter() - start, archive))
     return archive
 
 
@@ -233,33 +226,23 @@ def random_search(
     """Uniformly random tours and random feasible plans, same archive rules.
 
     A control for benchmarking: any guided search should clearly beat this
-    under an equal budget.
+    under an equal budget.  Each item, in random order, is chosen with
+    probability 1/2 if it fits on the running weight of the chosen ones.
     """
     if (time_limit is None) == (iterations is None):
         raise ValueError("set exactly one of time_limit and iterations")
     rng = np.random.default_rng(seed)
     archive = Archive()
-    start = _time.perf_counter()
-    cycle = 0
-    while True:
-        if iterations is not None:
-            if cycle >= iterations:
-                break
-        elif _time.perf_counter() - start >= time_limit:
-            break
-        order = np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
-        tour = Tour(order)
-        ctx = TourContext(inst, tour)
-        plan = PackingPlan.empty(inst)
-        for item in rng.permutation(inst.m):
-            if rng.random() < 0.5 and plan.can_add(item):
-                plan.add(item)
-        archive.add(
-            ctx.profit(plan.selected),
-            ctx.travel_time(plan.selected),
-            Solution(tour, plan, ctx.profit(plan.selected), ctx.travel_time(plan.selected)),
-        )
-        cycle += 1
-        if on_cycle is not None:
-            on_cycle(CycleStats(cycle, _time.perf_counter() - start, archive))
+    weights = inst.weights.tolist()
+    for _ in _cycles(archive, iterations, time_limit, on_cycle):
+        tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, inst.n)))))
+        chosen = []
+        load = 0.0
+        for item in rng.permutation(inst.m).tolist():
+            if rng.random() < 0.5 and load + weights[item] <= inst.capacity:
+                chosen.append(item)
+                load += weights[item]
+        plan = PackingPlan.fitted(inst, chosen)
+        profit, t = total_profit(inst, plan), travel_time(inst, tour, plan)
+        archive.add(profit, t, Solution(tour, plan, profit, t))
     return archive

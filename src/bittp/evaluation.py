@@ -17,7 +17,7 @@ are all compared through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,22 +46,30 @@ class Tour:
         return self.order.shape[0]
 
 
-class PackingPlan:
-    """A subset of items with a cached total weight, bound to one instance."""
+def _selected_sum(values: np.ndarray, selected: np.ndarray) -> float:
+    """``values[selected].sum()`` bit for bit: the same array, gathered by
+    index, and the same reduction without ``sum``'s wrapper; 2x faster at
+    m=4460 and 4x at m=33809."""
+    return float(np.add.reduce(values.take(selected.nonzero()[0])))
 
-    __slots__ = ("inst", "selected", "total_weight")
+
+class PackingPlan:
+    """A subset of items, bound to one instance, that fits its knapsack.
+
+    A plan's weight is its selected weights summed in item index order
+    (:attr:`total_weight`); every plan is built, grown or fitted here."""
+
+    __slots__ = ("inst", "selected")
 
     def __init__(self, inst: ProblemInstance, selected: np.ndarray | None = None):
         self.inst = inst
         if selected is None:
             self.selected = np.zeros(inst.m, dtype=bool)
-            self.total_weight = 0.0
         else:
             selected = np.asarray(selected, dtype=bool)
             if selected.shape != (inst.m,):
                 raise ValueError(f"selection mask must have shape ({inst.m},)")
             self.selected = selected.copy()
-            self.total_weight = float(inst.weights[self.selected].sum())
             if self.total_weight > inst.capacity:
                 raise ValueError("plan exceeds knapsack capacity")
 
@@ -75,32 +83,47 @@ class PackingPlan:
         mask[list(items)] = True
         return cls(inst, mask)
 
+    @classmethod
+    def fitted(cls, inst: ProblemInstance, items: Sequence[int]) -> "PackingPlan":
+        """The plan of ``items``, listed in the order they were chosen, minus
+        its last-chosen items for as long as it does not fit."""
+        plan = cls(inst)
+        plan.selected[items] = True
+        k = len(items)
+        while plan.total_weight > inst.capacity:
+            k -= 1
+            plan.selected[items[k]] = False
+        return plan
+
+    @property
+    def total_weight(self) -> float:
+        return _selected_sum(self.inst.weights, self.selected)
+
     def copy(self) -> "PackingPlan":
         dup = PackingPlan.__new__(PackingPlan)
         dup.inst = self.inst
         dup.selected = self.selected.copy()
-        dup.total_weight = self.total_weight
         return dup
 
+    def flipped(self, item: int) -> "PackingPlan | None":
+        """A copy with ``item`` removed if selected, else added; None when
+        the addition does not fit."""
+        dup = self.copy()
+        dup.selected[item] = not dup.selected[item]
+        return None if dup.selected[item] and dup.total_weight > self.inst.capacity else dup
+
     def can_add(self, item: int) -> bool:
-        return not self.selected[item] and (
-            self.total_weight + self.inst.weights[item] <= self.inst.capacity
-        )
+        return not self.selected[item] and self.flipped(item) is not None
 
     def add(self, item: int) -> None:
-        if self.selected[item]:
-            raise ValueError(f"item {item} already selected")
-        new_weight = self.total_weight + float(self.inst.weights[item])
-        if new_weight > self.inst.capacity:
-            raise ValueError(f"adding item {item} exceeds capacity")
+        if not self.can_add(item):
+            raise ValueError(f"item {item} is selected already or does not fit")
         self.selected[item] = True
-        self.total_weight = new_weight
 
     def remove(self, item: int) -> None:
         if not self.selected[item]:
             raise ValueError(f"item {item} not selected")
         self.selected[item] = False
-        self.total_weight -= float(self.inst.weights[item])
 
     def item_indices(self) -> np.ndarray:
         return np.flatnonzero(self.selected)
@@ -192,8 +215,12 @@ class TourContext:
         )
 
     def _speeds(self, omega: np.ndarray) -> np.ndarray:
-        v = self.inst.max_speed - self._slope * omega
-        return np.clip(v, self.inst.min_speed, self.inst.max_speed)
+        # max_speed - slope * omega, clipped, in place: np.clip's call overhead
+        # alone is ~2.5 us of a ~20 us bit-flip pricing at n=4461.
+        v = self._slope * omega
+        np.subtract(self.inst.max_speed, v, out=v)
+        np.maximum(v, self.inst.min_speed, out=v)
+        return np.minimum(v, self.inst.max_speed, out=v)
 
     def time_from_positions(self, weight_by_pos: np.ndarray) -> float:
         """Travel time given per-position pickup weights (single O(n) pass)."""
@@ -235,9 +262,6 @@ class TourContext:
     def travel_time(self, selected: np.ndarray) -> float:
         return self.time_from_positions(self.weight_by_position(selected))
 
-    def profit(self, selected: np.ndarray) -> float:
-        return float(self.inst.profits[selected].sum())
-
     def plan_times(self, selected: np.ndarray) -> PlanTimes:
         omega = np.cumsum(self.weight_by_position(selected))
         leg_time = self.leg / self._speeds(omega)
@@ -266,8 +290,8 @@ def travel_time(inst: ProblemInstance, tour: Tour, plan: PackingPlan) -> float:
 
 
 def total_profit(inst: ProblemInstance, plan: PackingPlan) -> float:
-    """Sum of profits of the selected items."""
-    return float(inst.profits[plan.selected].sum())
+    """Sum of profits of the selected items, in item index order."""
+    return _selected_sum(inst.profits, plan.selected)
 
 
 def scalarized(alpha, profit, time, renting_rate):
@@ -297,11 +321,9 @@ def validate_solution(
         raise ValueError("tour length does not match instance")
     if sol.plan.selected.shape != (inst.m,):
         raise ValueError("plan size does not match instance")
-    weight = float(inst.weights[sol.plan.selected].sum())
+    weight = sol.plan.total_weight
     if weight > inst.capacity:
         raise ValueError(f"plan weight {weight} exceeds capacity {inst.capacity}")
-    if abs(weight - sol.plan.total_weight) > rel_tol * max(1.0, abs(weight)):
-        raise ValueError("plan weight cache is stale")
     g = total_profit(inst, sol.plan)
     h = travel_time(inst, sol.tour, sol.plan)
     if abs(g - sol.profit) > rel_tol * max(1.0, abs(g)):

@@ -189,6 +189,9 @@ def pack_tour(
     A re-check prices nothing when :func:`recheck_bounds` decides it.
     A commit made that way leaves the committed objective unknown until a
     later undecided re-check, or the lane's end, prices that plan.
+
+    The greedy fits items by their rank-order running sum; each packing
+    returns its best attempt's picks through :meth:`PackingPlan.fitted`.
     """
     if attempts < 1:
         raise ValueError("attempts must be >= 1")
@@ -309,18 +312,7 @@ def pack_tour(
                 s.phi[back] //= 2
         s.rank = end + 1
 
-    plans = []
-    for items in best_items:
-        selected = np.zeros(m, dtype=bool)
-        selected[items] = True
-        # The greedy fits items by their rank-order running sum; PackingPlan's
-        # index-order sum can be an ulp above it: drop the last-ranked picks.
-        k = items.size
-        while weights[selected].sum() > capacity:
-            k -= 1
-            selected[items[k]] = False
-        plans.append(PackingPlan(inst, selected))
-    return plans
+    return [PackingPlan.fitted(inst, items) for items in best_items]
 
 
 def recheck_bounds(
@@ -429,13 +421,12 @@ def _greedy_picks(load: np.ndarray, weight: np.ndarray, capacity: float) -> np.n
 
 
 def _draw_exponents(rng: np.random.Generator, attempts: int) -> np.ndarray:
-    """Three uniform draws per attempt, redrawn while all three are zero."""
-    out = np.empty((attempts, 3))
-    for i in range(attempts):
-        draws = rng.random(3)
-        while draws.sum() == 0.0:
-            draws = rng.random(3)
-        out[i] = draws
+    """Three uniform draws per attempt; a row of three zeros is drawn again."""
+    out = rng.random((attempts, 3))
+    zero = ~out.any(axis=1)
+    while zero.any():
+        out[zero] = rng.random((int(zero.sum()), 3))
+        zero = ~out.any(axis=1)
     return out
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from bittp import (
     random_search,
     run,
     sample_alpha,
+    total_profit,
     validate_solution,
 )
 
@@ -85,6 +88,16 @@ def test_bit_flip_lambda_zero_is_inert(toy3):
     assert bit_flip_exploit(toy3, sol, 0.0, rng, archive) == 0
     assert len(archive) == 0
     assert rng.bit_generator.state == state  # no draws consumed
+
+
+def test_bit_flip_draws_once_per_item():
+    inst = random_instance(np.random.default_rng(3), 20, 60)
+    sol = Solution.evaluated(inst, Tour(np.arange(inst.n)), PackingPlan.empty(inst))
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    bit_flip_exploit(inst, sol, 0.3, rng, Archive())
+    for _ in range(inst.m):
+        ref.random()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_bit_flip_lambda_one_proposes_both_flips(toy3):
@@ -202,3 +215,51 @@ def test_random_search_baseline():
         assert sol.plan.total_weight <= inst.capacity
     with pytest.raises(ValueError):
         random_search(inst, seed=1)
+
+
+def _tenths_instance(seed, fractional_profits=False):
+    """Weights in tenths, whose running and index-order sums can differ by an
+    ulp next to the capacity; profits in tenths too, if asked."""
+    rng = np.random.default_rng(seed)
+    inst = replace(
+        random_instance(np.random.default_rng(seed), 7, 21),
+        weights=rng.integers(1, 10, size=21) / 10,
+        capacity=5.3,
+    )
+    if fractional_profits:
+        inst = replace(inst, profits=rng.integers(1, 100, size=21) / 10)
+    return inst
+
+
+def test_random_search_archives_only_valid_plans():
+    """26 of these instances made random_search archive a plan that fit by
+    its running weight only."""
+    for seed in range(200):
+        inst = _tenths_instance(seed)
+        for entry in random_search(inst, seed=0, iterations=50).entries():
+            validate_solution(inst, entry.solution)
+
+
+def test_bit_flip_profits_are_index_order_sums():
+    """Profits in tenths: a flip priced as the pivot's profit plus or minus
+    the item's can differ by an ulp from the flipped plan's profit."""
+    offered = []
+
+    class Recorder(Archive):
+        def add(self, profit, time, solution):
+            offered.append((profit, solution))
+            return super().add(profit, time, solution)
+
+    for seed in range(50):
+        inst = _tenths_instance(seed, fractional_profits=True)
+        rng = np.random.default_rng(seed)
+        plan = PackingPlan.empty(inst)
+        for item in rng.permutation(inst.m).tolist():
+            if rng.random() < 0.5 and plan.can_add(item):
+                plan.add(item)
+        tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, inst.n)))))
+        offered.clear()
+        bit_flip_exploit(inst, Solution.evaluated(inst, tour, plan), 1.0, rng, Recorder())
+        assert offered
+        for profit, sol in offered:
+            assert profit == sol.profit == total_profit(inst, sol.plan)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,30 @@ def test_packing_plan_copy_is_independent(toy3):
     dup.add(1)
     assert 1 not in plan
     assert plan.total_weight == 3.0 and dup.total_weight == 5.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 99), min_size=1, max_size=24),
+    capacity=st.integers(1, 600),
+    data=st.data(),
+)
+def test_fitted_keeps_longest_fitting_prefix(weights, capacity, data):
+    """Weights and capacity in tenths, so that a prefix's index-order sum can
+    land an ulp above a capacity its running sum meets."""
+    inst = dataclasses.replace(
+        random_instance(np.random.default_rng(0), 3, len(weights)),
+        weights=np.array(weights) / 10,
+        capacity=capacity / 10,
+    )
+    items = data.draw(st.lists(st.integers(0, inst.m - 1), unique=True))
+    k = max(
+        k for k in range(len(items) + 1)
+        if inst.weights[np.sort(np.array(items[:k], dtype=int))].sum() <= inst.capacity
+    )
+    plan = PackingPlan.fitted(inst, items)
+    assert plan.item_indices().tolist() == sorted(items[:k])
+    assert plan.total_weight <= inst.capacity
 
 
 def test_solution_evaluated_and_validate(toy3, pi123):

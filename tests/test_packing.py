@@ -33,6 +33,15 @@ def test_carry_distances(toy3, pi123):
     assert scored.carry_distance.tolist() == [9.0, 4.0]
 
 
+def test_draw_exponents_match_scalar_draws():
+    """One (attempts, 3) draw gives the values and generator state of three
+    draws per attempt, made one attempt after another."""
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    got = packing._draw_exponents(rng, 1000)
+    assert np.array_equal(got, np.array([ref.random(3) for _ in range(1000)]))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_profit_only_ranking(toy3, pi123):
     scored = score_items(toy3, pi123, 1.0, 0.0, 0.0)
     assert scored.scores.tolist() == [100.0, 60.0]
