@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class ObjectiveBounds:
         self.time_min = min(self.time_min, other.time_min)
         self.time_max = max(self.time_max, other.time_max)
 
-    @property
-    def empty(self) -> bool:
-        return self.profit_min > self.profit_max
-
     def as_dict(self) -> dict[str, float]:
         return {
             "profit_min": self.profit_min,
@@ -85,9 +81,6 @@ class Archive:
 
     def __len__(self) -> int:
         return len(self._profits)
-
-    def __iter__(self) -> Iterator[Entry]:
-        return iter(self.entries())
 
     def entries(self) -> list[Entry]:
         return [

@@ -139,20 +139,19 @@ def bit_flip_exploit(
     archive: Archive,
     *,
     alpha: float | None = None,
-    ctx: TourContext | None = None,
 ) -> int:
     """Offer single-item flips of ``sol`` to the archive.
 
     Each item is flipped independently with ``flip_probability``; removals
     are always proposed, additions only when they fit
     (:meth:`PackingPlan.flipped`).  Proposals are built from the original
-    plan and re-priced via a suffix time delta.  Returns the number of
-    archive insertions.
+    plan and priced through one :class:`TourContext` of the pivot's tour:
+    its :meth:`~TourContext.plan_times` once, then a suffix time delta per
+    flip.  Returns the number of archive insertions.
     """
     if inst.m == 0 or flip_probability == 0.0:
         return 0
-    if ctx is None:
-        ctx = TourContext(inst, sol.tour)
+    ctx = TourContext(inst, sol.tour)
     times = ctx.plan_times(sol.plan.selected)
     accepted = 0
     for item in np.flatnonzero(rng.random(inst.m) < flip_probability).tolist():
@@ -203,15 +202,7 @@ def run(
         if improved is not None:
             sol = Solution.evaluated(inst, improved, pivot.plan, alpha)
             archive.add(sol.profit, sol.time, sol)
-        bit_flip_exploit(
-            inst,
-            pivot,
-            config.flip_probability,
-            rngs["bitflip"],
-            archive,
-            alpha=alpha,
-            ctx=TourContext(inst, pivot.tour),
-        )
+        bit_flip_exploit(inst, pivot, config.flip_probability, rngs["bitflip"], archive, alpha=alpha)
     return archive
 
 

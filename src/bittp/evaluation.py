@@ -23,6 +23,8 @@ import numpy as np
 
 from .instance import ProblemInstance
 
+EXPLOIT_CELLS = 1 << 16  # cells of each (moves, n) array that TourContext.reversal_times prices at once
+
 
 @dataclass(frozen=True)
 class Tour:
@@ -159,10 +161,6 @@ class Solution:
     ) -> "Solution":
         return cls(tour, plan, total_profit(inst, plan), travel_time(inst, tour, plan), alpha)
 
-    @property
-    def point(self) -> tuple[float, float]:
-        return (self.profit, self.time)
-
 
 def speed(inst: ProblemInstance, weight: float) -> float:
     """Thief's velocity when carrying ``weight``; affine from v_max down to v_min.
@@ -238,7 +236,9 @@ class TourContext:
     ) -> np.ndarray:
         """Travel time of the tour with positions ``first[k]..last[k]``
         reversed (``1 <= first < last < n``), one entry per k, under the
-        per-position pickup weights ``weight_by_pos`` of this tour.
+        per-position pickup weights ``weight_by_pos`` of this tour.  One
+        call prices every move, ``EXPLOIT_CELLS`` cells of ``(moves, n)``
+        arrays at a time; only the result holds an entry per move.
 
         Entry k equals ``travel_time`` on a context of the flipped tour bit
         for bit: a city's pickup weight is the same sum of its items in item
@@ -246,18 +246,23 @@ class TourContext:
         distances walked the other way, and only the two new edges are
         measured afresh.
         """
-        t = np.arange(self.inst.n)
-        lo = first[:, None]
-        hi = last[:, None]
-        inside = (t >= lo) & (t <= hi)
-        src = np.where(inside, lo + hi - t, t)  # flipped position t holds pivot position src
-        omega = np.cumsum(weight_by_pos.take(src), axis=1)
-        leg = self.leg.take(src - inside)  # the leg after position t is the pivot's leg before src
-        rows = np.arange(first.shape[0])
+        n = self.inst.n
         order = self.tour.order
-        leg[rows, first - 1] = self.inst.pair_distances(order[first - 1], order[last])
-        leg[rows, last] = self.inst.pair_distances(order[first], order.take(last + 1, mode="wrap"))
-        return (leg / self._speeds(omega)).sum(axis=1)
+        t = np.arange(n)
+        per_chunk = max(1, EXPLOIT_CELLS // n)
+        out = np.empty(first.shape[0])
+        for start in range(0, first.shape[0], per_chunk):
+            a, b = first[start : start + per_chunk], last[start : start + per_chunk]
+            lo, hi = a[:, None], b[:, None]
+            inside = (t >= lo) & (t <= hi)
+            src = np.where(inside, lo + hi - t, t)  # flipped position t holds pivot position src
+            omega = np.cumsum(weight_by_pos.take(src), axis=1)
+            leg = self.leg.take(src - inside)  # the leg after position t is the pivot's leg before src
+            rows = np.arange(a.shape[0])
+            leg[rows, a - 1] = self.inst.pair_distances(order[a - 1], order[b])
+            leg[rows, b] = self.inst.pair_distances(order[a], order.take(b + 1, mode="wrap"))
+            out[start : start + per_chunk] = (leg / self._speeds(omega)).sum(axis=1)
+        return out
 
     def travel_time(self, selected: np.ndarray) -> float:
         return self.time_from_positions(self.weight_by_position(selected))

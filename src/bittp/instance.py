@@ -134,8 +134,11 @@ class ProblemInstance:
         if not math.isfinite((self.max_speed - self.min_speed) / self.capacity):
             raise InvalidInstanceError("the speed's slope (max speed - min speed) / capacity must be finite")
         # A leg is at most the rounded diagonal long and is walked at min_speed at the slowest.
-        if not math.isfinite(n * (math.sqrt(diagonal2) + 1) / self.min_speed):
+        max_time = n * (math.sqrt(diagonal2) + 1) / self.min_speed
+        if not math.isfinite(max_time):
             raise InvalidInstanceError("travel times must be finite: n * diagonal / min speed overflows")
+        if not math.isfinite(self.renting_rate * max_time):
+            raise InvalidInstanceError("rents must be finite: renting rate * n * diagonal / min speed overflows")
         if m:
             if (profits < 0).any():
                 raise InvalidInstanceError("item profits must be non-negative")

@@ -110,8 +110,6 @@ def score_items(
     a: float,
     b: float,
     c: float,
-    *,
-    ctx: TourContext | None = None,
 ) -> ScoredItems:
     """Score items with exponents (a, b, c), normalized to sum to 1.
 
@@ -123,9 +121,7 @@ def score_items(
         raise ValueError("score exponents must be non-negative")
     if a + b + c == 0:
         raise ValueError("score exponents are all zero")
-    if ctx is None:
-        ctx = TourContext(inst, tour)
-    dist = carry_distances(ctx)
+    dist = carry_distances(TourContext(inst, tour))
     scores = _score_rows(inst, dist, np.array([[a, b, c]], dtype=np.float64))
     return ScoredItems(scores[0], _descending(scores)[0], dist)
 
@@ -146,8 +142,6 @@ def randomized_packing(
     alpha: float,
     divisor: int,
     rng: np.random.Generator,
-    *,
-    ctx: TourContext | None = None,
 ) -> PackingPlan:
     """Best plan over ``attempts`` randomized greedy constructions for ``tour``.
 
@@ -156,9 +150,7 @@ def randomized_packing(
     given rng state are reproducible and the best objective is
     non-decreasing in ``attempts``.
     """
-    if ctx is None:
-        ctx = TourContext(inst, tour)
-    return pack_tour(inst, ctx, [alpha], attempts, divisor, rng)[0]
+    return pack_tour(inst, TourContext(inst, tour), [alpha], attempts, divisor, rng)[0]
 
 
 def pack_tour(
@@ -440,8 +432,6 @@ def _plan_times(
 ) -> np.ndarray:
     """Travel time of the plan made of the picks of row ``rows[k]`` before
     index ``limits[k]``, one entry per k, priced ``chunk`` rows at a time."""
-    if rows.size <= chunk:
-        return ctx.row_times(_pickup_weights(ctx, order, picked, rows, limits))
     return np.concatenate([
         ctx.row_times(_pickup_weights(ctx, order, picked, rows[i : i + chunk], limits[i : i + chunk]))
         for i in range(0, rows.size, chunk)

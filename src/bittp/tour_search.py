@@ -15,9 +15,9 @@ those whose cycle length grows by at most ``tolerance * average pair
 distance``, and returns the admissible neighbor with the best scalarized
 objective if it strictly improves.  An admissible move joins cities near
 the ends of the edges it removes, so two fixed-radius ball queries on a
-k-d tree find every one of them without a scan over all pairs; the
-admissible moves are priced in numpy batches, each row equal to a full
-evaluation of its flipped tour.
+k-d tree find every one of them without a scan over all pairs; one call
+prices every admissible move, each entry equal to a full evaluation of
+its flipped tour.
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .evaluation import Solution, Tour, TourContext, scalarized, total_profit, weighted_objective
+from .evaluation import Solution, Tour, TourContext, scalarized, total_profit
 from .instance import ProblemInstance
 
 DEFAULT_NEIGHBORS = 16
 BLOCK = 64  # cities per numpy pass of the descent and of average_pair_distance
-EXPLOIT_CELLS = 1 << 16  # cells of each (moves, n) array that prices 2-opt exploitation moves
 _EDGE = np.array([0, -1])  # position of the edge a 2-opt move removes, from a's: forward, backward
 _STEP = np.array([1, -1])  # position of the city b across that edge, from a's
 _SEG = np.array([1, 2, 3])  # Or-opt segment lengths
@@ -390,9 +389,10 @@ def two_opt_exploit(
     and each d with one unit of slack for rounding, find every admissible
     move (Bentley's fixed-radius search).  The candidates are filtered
     with the rounded distances, in the operations of a scan over all
-    pairs, and the admissible ones are priced ``EXPLOIT_CELLS`` cells at
-    a time with :meth:`TourContext.reversal_times`, so the result is the
-    one of pricing each flipped tour with ``weighted_objective``.
+    pairs.  The pivot's one :class:`TourContext` prices the incumbent and,
+    in one :meth:`TourContext.reversal_times` call, every admissible move,
+    so the result is the one of pricing each flipped tour with
+    ``weighted_objective``.
     """
     if tolerance == NEG_INF:
         return None
@@ -400,8 +400,9 @@ def two_opt_exploit(
     n = order.shape[0]
     if n < 4:
         return None  # no proper 2-opt neighbor exists
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha {alpha} outside [0, 1]")
     limit = tolerance * avg_pair_distance
-    best_f = weighted_objective(inst, sol.tour, sol.plan, alpha)
     ctx = TourContext(inst, sol.tour)
     leg, pos = ctx.leg, ctx.position
 
@@ -427,19 +428,13 @@ def two_opt_exploit(
     i, j = i[ok], j[ok]
 
     weight_by_pos = ctx.weight_by_position(sol.plan.selected)
-    profit = total_profit(inst, sol.plan)
-    best = None
-    rows = max(1, EXPLOIT_CELLS // n)
-    for lo in range(0, i.shape[0], rows):
-        first, last = i[lo : lo + rows], j[lo : lo + rows]
-        f = scalarized(alpha, profit, ctx.reversal_times(weight_by_pos, first, last), inst.renting_rate)
-        better = f > best_f  # NaN never wins
-        if better.any():
-            k = int(np.argmax(np.where(better, f, NEG_INF)))  # first of the maxima
-            best_f = f[k]
-            best = (first[k], last[k])
-    if best is None:
+    profit, rent = total_profit(inst, sol.plan), inst.renting_rate
+    incumbent = scalarized(alpha, profit, ctx.time_from_positions(weight_by_pos), rent)
+    f = scalarized(alpha, profit, ctx.reversal_times(weight_by_pos, i, j), rent)
+    better = f > incumbent  # NaN never wins
+    if not better.any():
         return None
+    k = int(np.argmax(np.where(better, f, NEG_INF)))  # first of the maxima
     flipped = order.copy()
-    flipped[best[0] : best[1] + 1] = flipped[best[0] : best[1] + 1][::-1]
+    flipped[i[k] : j[k] + 1] = flipped[i[k] : j[k] + 1][::-1]
     return Tour(flipped)

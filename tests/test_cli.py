@@ -166,6 +166,7 @@ def test_non_finite_instance_is_input_error(tmp_path, capsys, old, new):
         ([("1 100 3 2", "1 1e308 3 2"), ("2 60 2 3", "2 1e308 2 3")], "total item profit"),
         ([("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5e-324")], "slope"),
         ([("MIN SPEED: 0.1", "MIN SPEED: 1e-320")], "travel times"),
+        ([("RENTING RATIO: 1", "RENTING RATIO: 1e308")], "renting rate"),
     ],
 )
 def test_overflowing_instance_is_input_error(tmp_path, capsys, edits, message):
@@ -447,6 +448,7 @@ _SOLVE_FUZZ_VALUES = [
 @example(edits=[((10, 1), "2e154")])  # city 2 at x = 2e154: squared distances overflow
 @example(edits=[((13, 1), "1e308"), ((14, 1), "1e308")])  # the total profit overflows
 @example(edits=[((3, 3), "5e-324")])  # capacity 5e-324: the speed's slope overflows
+@example(edits=[((6, 2), "1e308")])  # renting rate 1e308: the rent of a travel time overflows
 def test_solve_mutated_minimal_end_to_end(tmp_path, edits):
     """Numbers of MINIMAL replaced by extreme, tiny, zero or negative
     values: ``bittp solve`` exits 0, 1 or 2, never 3, and a front it

@@ -17,7 +17,9 @@ from bittp import (
     weight_after,
     weighted_objective,
 )
+from bittp import evaluation
 from bittp.evaluation import scalarized
+from bittp.instance import CEIL_2D, EUC_2D
 
 from gen import random_instance
 from oracles import naive_profit, naive_travel_time, naive_weight_after
@@ -271,6 +273,49 @@ def test_solution_evaluated_and_validate(toy3, pi123):
     broken = Solution(pi123, plan, sol.profit + 1.0, sol.time)
     with pytest.raises(ValueError):
         validate_solution(toy3, broken)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 12),
+    m=st.integers(0, 20),
+    metric=st.sampled_from([CEIL_2D, EUC_2D]),
+    per_chunk=st.sampled_from([1, 2, 5, None]),
+)
+def test_reversal_times_equal_flipped_tour_times(seed, n, m, metric, per_chunk):
+    """Every move 1 <= first < last < n, in random order, with fractional
+    coordinates and weights and several items per city: entry k is the
+    travel time of a fresh context of the flipped tour, bit for bit, also
+    when the moves are priced in chunks of 1, 2 or 5 rows."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, n, m)
+    weights = inst.weights * rng.uniform(0.5, 1.5, size=m)
+    inst = dataclasses.replace(
+        inst,
+        coords=inst.coords + rng.random((n, 2)),
+        weights=weights,
+        capacity=max(float(weights.sum()) * rng.uniform(0.2, 1.0), 1.0),
+        metric=metric,
+    )
+    order = np.concatenate(([0], rng.permutation(np.arange(1, n))))
+    picks = rng.permutation(m)[: int(rng.integers(0, m + 1))]
+    selected = PackingPlan.fitted(inst, picks.tolist()).selected
+    first, last = np.triu_indices(n, 1)
+    keep = first >= 1
+    moves = rng.permutation(int(keep.sum()))
+    first, last = first[keep][moves], last[keep][moves]
+    ctx = TourContext(inst, Tour(order))
+    cells = evaluation.EXPLOIT_CELLS if per_chunk is None else per_chunk * n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "EXPLOIT_CELLS", cells)
+        got = ctx.reversal_times(ctx.weight_by_position(selected), first, last)
+    want = []
+    for a, b in zip(first.tolist(), last.tolist()):
+        flipped = order.copy()
+        flipped[a : b + 1] = flipped[a : b + 1][::-1]
+        want.append(TourContext(inst, Tour(flipped)).travel_time(selected))
+    assert got.tolist() == want
 
 
 def test_flipped_time_matches_full_recompute():

@@ -171,11 +171,13 @@ def test_profit_sum_overflow_rejected():
     [
         ("CAPACITY OF KNAPSACK: 5", "CAPACITY OF KNAPSACK: 5e-324", "slope"),
         ("MIN SPEED: 0.1", "MIN SPEED: 1e-320", "travel times"),
+        ("RENTING RATIO: 1", "RENTING RATIO: 1e308", "renting rate"),
     ],
 )
 def test_overflowing_speed_terms_rejected(old, new, message):
     """A slope (v_max - v_min) / W that overflows makes every speed NaN; a
-    tiny v_min can make a travel time overflow."""
+    tiny v_min can make a travel time overflow, and a huge renting rate
+    the rent of one."""
     with pytest.raises(InvalidInstanceError, match=message):
         parse_instance(MINIMAL.replace(old, new))
 
