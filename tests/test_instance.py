@@ -119,6 +119,44 @@ def test_malformed_record_names_line():
         parse_instance(bad)
 
 
+def test_eof_among_city_records_names_line():
+    with pytest.raises(MalformedRecordError, match="line 11"):
+        parse_instance(MINIMAL.replace("2 3 0\n", "EOF\n2 3 0\n"))
+
+
+def test_blank_and_eof_lines_between_item_records_accepted():
+    inst = parse_instance(MINIMAL.replace("1 100 3 2\n", "1 100 3 2\n\nEOF\n"))
+    assert inst.m == 2
+    assert list(inst.profits) == [100, 60]
+
+
+def test_surplus_item_record_names_line():
+    with pytest.raises(InconsistentCountsError, match="line 16"):
+        parse_instance(MINIMAL + "3 10 1 2\n")
+
+
+def test_negative_dimension_rejected():
+    with pytest.raises(InconsistentCountsError):
+        parse_instance(MINIMAL.replace("DIMENSION: 3", "DIMENSION: -1"))
+
+
+def test_malformed_record_names_line_with_crlf():
+    bad = MINIMAL.replace("2 3 0", "2 three 0").replace("\n", "\r\n")
+    with pytest.raises(MalformedRecordError, match="line 11"):
+        parse_instance(bad)
+
+
+def test_header_line_without_colon_names_line():
+    with pytest.raises(MalformedRecordError, match="line 5"):
+        parse_instance(MINIMAL.replace("MIN SPEED: 0.1", "MIN SPEED 0.1"))
+
+
+def test_item_rule_checked_before_surplus_record():
+    bad = MINIMAL.replace("1 100 3 2", "1 -100 3 2") + "3 10 1 2\n"
+    with pytest.raises(MalformedRecordError, match="line 14"):
+        parse_instance(bad)
+
+
 def test_unknown_edge_weight_type():
     bad = MINIMAL.replace("CEIL_2D", "GEO")
     with pytest.raises(UnknownEdgeWeightTypeError):
