@@ -211,135 +211,113 @@ def _parse_number(text: str, lineno: int, kind: type) -> float | int:
         raise MalformedRecordError(f"line {lineno}: expected a number, got {text!r}") from None
 
 
+def _records(
+    lines: list[tuple[int, str]], count: int, what: str, layout: str, kinds: tuple[type, ...], stop: str | None = None
+) -> tuple[list[list], MalformedRecordError | None]:
+    """Read up to ``count`` records from the ``(lineno, line)`` pairs ``lines``,
+    stopping early at a line that starts with ``stop``.  A record has one
+    field per entry of ``kinds``, which converts it; the first field is the
+    record's 1-based index.  ``layout`` names the fields in error messages.
+    Only the records that are there are read, so a count no array could
+    hold costs nothing.
+
+    Returns a list per field after the index, of the records before the
+    first one at fault, and that record's MalformedRecordError or None, for
+    the caller to raise once it has vetted those records.
+    """
+    fields, fault = [], None
+    for lineno, line in lines[: max(count, 0)]:
+        if stop is not None and line.startswith(stop):
+            break
+        parts = line.split()
+        if len(parts) != len(kinds):
+            fault = MalformedRecordError(f"line {lineno}: expected '{layout}', got {line!r}")
+            break
+        fields += parts
+    try:  # one conversion per column
+        index, *columns = [list(map(kind, fields[j :: len(kinds)])) for j, kind in enumerate(kinds)]
+        if index != list(range(1, len(index) + 1)):
+            raise ValueError("record indices out of order")
+        return columns, fault
+    except ValueError:  # some record before ``fault`` is at fault: find the first
+        for k, (lineno, line) in enumerate(lines[: len(fields) // len(kinds)]):
+            try:
+                index, *_ = [_parse_number(text, lineno, kind) for kind, text in zip(kinds, line.split())]
+                if index != k + 1:
+                    raise MalformedRecordError(f"line {lineno}: {what} index {index}, expected {k + 1}")
+            except MalformedRecordError as first:
+                return _records(lines, k, what, layout, kinds)[0], first
+        raise
+
+
 def parse_instance(text: str) -> ProblemInstance:
     """Parse an instance document (LF or CRLF) into a :class:`ProblemInstance`."""
-    lines = text.splitlines()
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1) if (line := raw.strip())]
     header: dict[str, tuple[str, int]] = {}
-    pos = 0
-    n_lines = len(lines)
-
-    while pos < n_lines:
-        line = lines[pos].strip()
-        if not line:
-            pos += 1
-            continue
+    for at, (lineno, line) in enumerate(lines):
         if line.startswith("NODE_COORD_SECTION"):
             break
         key, sep, value = line.partition(":")
         if not sep:
-            raise MalformedRecordError(f"line {pos + 1}: expected 'KEY: value', got {line!r}")
-        header[key.strip()] = (value.strip(), pos + 1)
-        pos += 1
+            raise MalformedRecordError(f"line {lineno}: expected 'KEY: value', got {line!r}")
+        header[key.strip()] = (value.strip(), lineno)
     else:
         raise InconsistentCountsError("NODE_COORD_SECTION not found")
 
     for field in _REQUIRED_HEADERS:
         if field not in header:
             raise MissingHeaderFieldError(f"missing header field {field!r}")
-
-    n = int(_parse_number(header["DIMENSION"][0], header["DIMENSION"][1], int))
-    m = int(_parse_number(header["NUMBER OF ITEMS"][0], header["NUMBER OF ITEMS"][1], int))
+    n, m = (_parse_number(*header[key], int) for key in ("DIMENSION", "NUMBER OF ITEMS"))
     metric = header["EDGE_WEIGHT_TYPE"][0]
     if metric not in EDGE_WEIGHT_TYPES:
         raise UnknownEdgeWeightTypeError(
             f"unsupported EDGE_WEIGHT_TYPE {metric!r}; expected one of {EDGE_WEIGHT_TYPES}"
         )
 
-    # Records are collected before the declared counts are trusted: a header
-    # may declare more records than the file holds, or than memory holds.
-    pos += 1  # past NODE_COORD_SECTION
-    coords: list[tuple[float, float]] = []
-    seen = 0
-    while pos < n_lines and seen < n:
-        line = lines[pos].strip()
-        if not line:
-            pos += 1
-            continue
-        if line.startswith("ITEMS SECTION"):
-            break
-        parts = line.split()
-        if len(parts) != 3:
-            raise MalformedRecordError(f"line {pos + 1}: expected 'index x y', got {line!r}")
-        idx = int(_parse_number(parts[0], pos + 1, int))
-        if idx != seen + 1:
-            raise MalformedRecordError(f"line {pos + 1}: city index {idx}, expected {seen + 1}")
-        coords.append((_parse_number(parts[1], pos + 1, float), _parse_number(parts[2], pos + 1, float)))
-        seen += 1
-        pos += 1
-    if seen != n:
-        raise InconsistentCountsError(f"DIMENSION is {n} but NODE_COORD_SECTION has {seen} records")
+    (xs, ys), fault = _records(lines[at + 1 :], n, "city", "index x y", (int, float, float), "ITEMS SECTION")
+    if fault:
+        raise fault
+    if len(xs) != n:
+        raise InconsistentCountsError(f"DIMENSION is {n} but NODE_COORD_SECTION has {len(xs)} records")
 
-    # Locate ITEMS SECTION (optional when m == 0).
-    while pos < n_lines and lines[pos].strip() in ("", "EOF"):
-        pos += 1
-    if pos < n_lines:
-        if not lines[pos].strip().startswith("ITEMS SECTION"):
-            if m == 0:
-                raise InconsistentCountsError(
-                    f"line {pos + 1}: unexpected content after NODE_COORD_SECTION"
-                )
-            raise InconsistentCountsError(
-                f"line {pos + 1}: expected ITEMS SECTION, got {lines[pos].strip()!r}"
-            )
-        pos += 1
-    elif m > 0:
-        raise InconsistentCountsError(f"NUMBER OF ITEMS is {m} but ITEMS SECTION is missing")
-
-    profits: list[float] = []
-    weights: list[float] = []
-    item_city: list[int] = []
-    seen = 0
-    while pos < n_lines:
-        line = lines[pos].strip()
-        if not line:
-            pos += 1
-            continue
-        if line == "EOF":
-            pos += 1
-            continue
-        if seen >= m:
-            raise InconsistentCountsError(
-                f"line {pos + 1}: NUMBER OF ITEMS is {m} but ITEMS SECTION has more records"
-            )
-        parts = line.split()
-        if len(parts) != 4:
-            raise MalformedRecordError(
-                f"line {pos + 1}: expected 'index profit weight city', got {line!r}"
-            )
-        idx = int(_parse_number(parts[0], pos + 1, int))
-        if idx != seen + 1:
-            raise MalformedRecordError(f"line {pos + 1}: item index {idx}, expected {seen + 1}")
-        profit = _parse_number(parts[1], pos + 1, float)
-        weight = _parse_number(parts[2], pos + 1, float)
-        city = int(_parse_number(parts[3], pos + 1, int))
+    # EOF lines after the city records are ignored.  With no items, ITEMS SECTION may be left out.
+    rest = [pair for pair in lines[at + 1 + n :] if pair[1] != "EOF"]
+    if rest and not rest[0][1].startswith("ITEMS SECTION"):
+        raise InconsistentCountsError(f"line {rest[0][0]}: expected ITEMS SECTION, got {rest[0][1]!r}")
+    records = rest[1:]
+    (profits, weights, cities), fault = _records(
+        records, m, "item", "index profit weight city", (int, float, float, int)
+    )
+    for idx, ((lineno, _), profit, weight, city) in enumerate(zip(records, profits, weights, cities), 1):
         if profit < 0:
-            raise MalformedRecordError(f"line {pos + 1}: item profit must be non-negative")
+            raise MalformedRecordError(f"line {lineno}: item profit must be non-negative")
         if weight <= 0:
-            raise MalformedRecordError(f"line {pos + 1}: item weight must be positive")
+            raise MalformedRecordError(f"line {lineno}: item weight must be positive")
         if city == 1:
-            raise ItemAtDepotError(f"line {pos + 1}: item {idx} assigned to city 1")
+            raise ItemAtDepotError(f"line {lineno}: item {idx} assigned to city 1")
         if not 1 <= city <= n:
-            raise MalformedRecordError(f"line {pos + 1}: item city {city} out of range 1..{n}")
-        profits.append(profit)
-        weights.append(weight)
-        item_city.append(city - 1)
-        seen += 1
-        pos += 1
-    if seen != m:
-        raise InconsistentCountsError(f"NUMBER OF ITEMS is {m} but ITEMS SECTION has {seen} records")
+            raise MalformedRecordError(f"line {lineno}: item city {city} out of range 1..{n}")
+    if fault:
+        raise fault
+    if len(records) > len(profits):
+        raise InconsistentCountsError(
+            f"line {records[len(profits)][0]}: NUMBER OF ITEMS is {m} but ITEMS SECTION has more records"
+        )
+    if len(profits) != m:
+        raise InconsistentCountsError(f"NUMBER OF ITEMS is {m} but ITEMS SECTION has {len(profits)} records")
 
     return ProblemInstance(
-        name=header.get("PROBLEM NAME", ("unnamed", 0))[0],
-        coords=np.array(coords, dtype=np.float64).reshape(-1, 2),
+        name=header.get("PROBLEM NAME", ("unnamed",))[0],
+        coords=np.column_stack((xs, ys)),
         profits=np.array(profits, dtype=np.float64),
         weights=np.array(weights, dtype=np.float64),
-        item_city=np.array(item_city, dtype=np.int64),
-        capacity=float(_parse_number(*header["CAPACITY OF KNAPSACK"][:2], kind=float)),
-        min_speed=float(_parse_number(*header["MIN SPEED"][:2], kind=float)),
-        max_speed=float(_parse_number(*header["MAX SPEED"][:2], kind=float)),
-        renting_rate=float(_parse_number(*header["RENTING RATIO"][:2], kind=float)),
+        item_city=np.array(cities, dtype=np.int64) - 1,
+        capacity=_parse_number(*header["CAPACITY OF KNAPSACK"], float),
+        min_speed=_parse_number(*header["MIN SPEED"], float),
+        max_speed=_parse_number(*header["MAX SPEED"], float),
+        renting_rate=_parse_number(*header["RENTING RATIO"], float),
         metric=metric,
-        knapsack_type=header.get("KNAPSACK DATA TYPE", (None, 0))[0],
+        knapsack_type=header.get("KNAPSACK DATA TYPE", (None,))[0],
     )
 
 

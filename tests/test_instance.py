@@ -151,8 +151,15 @@ def test_header_line_without_colon_names_line():
         parse_instance(MINIMAL.replace("MIN SPEED: 0.1", "MIN SPEED 0.1"))
 
 
-def test_item_rule_checked_before_surplus_record():
-    bad = MINIMAL.replace("1 100 3 2", "1 -100 3 2") + "3 10 1 2\n"
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("2 60 2 3\n", "2 60 2 3\n3 10 1 2\n"),  # a surplus record
+        ("2 60 2 3", "2 sixty 2 3"),  # a malformed record
+    ],
+)
+def test_item_rule_checked_before_later_records(old, new):
+    bad = MINIMAL.replace("1 100 3 2", "1 -100 3 2").replace(old, new)
     with pytest.raises(MalformedRecordError, match="line 14"):
         parse_instance(bad)
 
