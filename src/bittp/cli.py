@@ -116,10 +116,28 @@ def read_solutions(
 def _validate_front(points: list[Point], label: str) -> None:
     ordered = sorted(points)
     for (g1, h1), (g2, h2) in zip(ordered, ordered[1:]):
-        if g2 >= g1 and h2 <= h1:
+        if not (g1 < g2 and h1 < h2):
             raise ValueError(
                 f"{label}: rows ({g1}, {h1}) and ({g2}, {h2}) are not mutually non-dominated"
             )
+
+
+def _hypervolume(points: list[Point], bounds: ObjectiveBounds) -> float:
+    """Hypervolume of ``points`` normalized by ``bounds``, or NaN where
+    normalizing overflows.
+
+    Normalizing can give distinct points one value of an objective (a
+    bound of zero span gives all of them 0), which leaves some weakly
+    dominated: they add no area, so they are dropped.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        normalized = normalize(points, bounds)
+        if not np.isfinite(normalized).all():
+            return math.nan
+        front = Archive()
+        for g, h in normalized:
+            front.add(g, h)
+        return hypervolume(front.points(), HV_REF)
 
 
 @dataclass
@@ -177,11 +195,7 @@ class _TraceRecorder:
             self.snapshots.append((elapsed, archive.points()))
 
     def hv_trace(self, bounds: ObjectiveBounds) -> list[dict]:
-        out = []
-        for t, points in self.snapshots:
-            hv = hypervolume(normalize(points, bounds), HV_REF) if points else 0.0
-            out.append({"time": t, "hypervolume": hv})
-        return out
+        return [{"time": t, "hypervolume": _hypervolume(points, bounds)} for t, points in self.snapshots]
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +292,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             e = entries[idx]
             written.add(e.profit, e.time, e.solution)
 
-    hv = hypervolume(normalize(written.points(), bounds), HV_REF) if len(written) else 0.0
+    hv = _hypervolume(written.points(), bounds)
     report = RunReport(
         instance=inst.name,
         config={**asdict(config), "alpha_dist": config.alpha_dist.value},
@@ -366,8 +380,7 @@ def cmd_hv(args: argparse.Namespace) -> int:
             rows = read_front_csv(path)
             points = [(g, h) for g, h, _ in rows]
             _validate_front(points, str(path))
-            with np.errstate(over="ignore", invalid="ignore"):
-                hv = hypervolume(normalize(points, bounds), HV_REF) if points else 0.0
+            hv = _hypervolume(points, bounds)
             if not math.isfinite(hv):
                 raise ValueError(f"{path}: the front lies too far outside the bounds to score")
         except (OSError, ValueError) as exc:

@@ -272,6 +272,31 @@ def test_hv_command_dominated_row_rejected(tmp_path, capsys):
     assert "non-dominated" in capsys.readouterr().err
 
 
+def test_hv_command_equal_profit_rows_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("profit,time\n3.0,2.0\n3.0,4.0\n")  # second row dominated
+    assert main(["hv", str(bad), "--bounds", "0", "10", "0", "10"]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "(3.0, 2.0)" in err and "(3.0, 4.0)" in err
+
+
+@pytest.mark.parametrize(
+    "bounds, hv",
+    [
+        (["0", "10", "5", "5"], "0.300000"),  # both times normalize to 0
+        (["2", "2", "0", "10"], "0.000000"),  # both profits normalize to 0
+    ],
+)
+def test_hv_command_zero_span_bounds(tmp_path, capsys, bounds, hv):
+    """A bound of zero span (as an m = 0 solve reports) maps every point to
+    one value of that objective; the points it leaves dominated add nothing."""
+    front = tmp_path / "f.csv"
+    front.write_text("profit,time\n1.0,2.0\n3.0,4.0\n")
+    assert main(["hv", str(front), "--bounds", *bounds]) == 0
+    assert f"hypervolume {hv}" in capsys.readouterr().out
+
+
 def test_hv_command_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("profit,time\nten,5.0\n")
