@@ -272,7 +272,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return USAGE_ERROR
 
     out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"solve: cannot make the output directory: {exc}", file=sys.stderr)
+        return INPUT_ERROR
 
     merged = Archive()
     tracer = _TraceRecorder(finished=merged)
@@ -380,6 +384,14 @@ def cmd_hv(args: argparse.Namespace) -> int:
             rows = read_front_csv(path)
             points = [(g, h) for g, h, _ in rows]
             _validate_front(points, str(path))
+            with np.errstate(over="ignore", invalid="ignore"):
+                normalized = normalize(points, bounds).tolist()
+            for k, ((g, h), (x, y)) in enumerate(zip(points, normalized), start=1):
+                if x < 0 or y > 1:
+                    raise ValueError(
+                        f"{path}: row {k} ({g}, {h}) lies outside the bounds: it normalizes to "
+                        f"profit {x} and time {y}, and the profit must be >= 0 and the time <= 1"
+                    )
             hv = _hypervolume(points, bounds)
             if not math.isfinite(hv):
                 raise ValueError(f"{path}: the front lies too far outside the bounds to score")

@@ -14,6 +14,7 @@ the draws of another.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass
 from enum import Enum
@@ -67,8 +68,8 @@ class WsmConfig:
 
     Exactly one of ``time_limit`` (seconds) and ``iterations`` (cycle
     count, for reproducible runs) must be set.  A ``two_opt_tolerance``
-    of -inf disables the 2-opt phase; ``flip_probability`` 0 disables
-    bit flips.
+    of -inf disables the 2-opt phase, and NaN is rejected;
+    ``flip_probability`` 0 disables bit flips.  ``seed`` must be >= 0.
     """
 
     alpha_dist: AlphaDistribution = AlphaDistribution.UNIFORM
@@ -88,6 +89,8 @@ class WsmConfig:
             raise ValueError("packing_attempts must be >= 1")
         if self.reeval_divisor < 1:
             raise ValueError("reeval_divisor must be >= 1")
+        if math.isnan(self.two_opt_tolerance):
+            raise ValueError("two_opt_tolerance must not be NaN")
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
         if (self.time_limit is None) == (self.iterations is None):
@@ -96,6 +99,8 @@ class WsmConfig:
             raise ValueError("time_limit must be positive")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -121,14 +126,17 @@ def _cycles(
 ) -> Iterator[None]:
     """Yield once per cycle until ``iterations`` cycles ran or ``time_limit``
     seconds passed, and hand ``on_cycle`` a snapshot after each cycle.  The
-    clock starts at the first cycle, after the caller's set-up."""
+    clock starts at the first cycle, after the caller's set-up, and is read
+    after each cycle, so a time limit always runs at least one."""
     start = _time.perf_counter()
     cycle = 0
-    while (cycle < iterations) if iterations is not None else (_time.perf_counter() - start < time_limit):
+    while iterations is None or cycle < iterations:
         yield
         cycle += 1
         if on_cycle is not None:
             on_cycle(CycleStats(cycle, _time.perf_counter() - start, archive))
+        if time_limit is not None and _time.perf_counter() - start >= time_limit:
+            return
 
 
 def bit_flip_exploit(

@@ -48,13 +48,14 @@ from .instance import ProblemInstance
 
 REEVAL_EPSILON = 1e-5
 
-# Cells of max(n, m) held by the lanes in flight.  A cell costs 5 bytes, an
-# int32 item and a boolean pick per rank, so 2**20 cells keep the lanes near
-# 5 MB; a step's window arrays are no larger, as a window spans at most m
-# ranks of each lane.  2**19 to 2**21 packed alike at n=280 and n=4461.  A
-# re-check prices its lanes in chunks of CHUNK_CELLS cells: each float64
-# temporary stays near 128 KB, and a chunk scans picks only up to the
-# furthest rank among its lanes.  At n=4461, 2**14 and 2**15 packed
+# LANE_CELLS bounds the cells of the lanes' (rows, m) arrays, so the number
+# of packings in flight.  A cell costs 5 bytes, an int32 item and a boolean
+# pick per rank, so 2**20 cells keep the lanes near 5 MB; a step's window
+# arrays are no larger, as a window spans at most m ranks of each lane.
+# 2**19 to 2**21 packed alike at n=280 and n=4461.  CHUNK_CELLS bounds the
+# cells of the (rows, n) pickup weights that a re-check prices at once: each
+# float64 temporary stays near 128 KB, and a chunk scans picks only up to
+# the furthest rank among its lanes.  At n=4461, 2**14 and 2**15 packed
 # fastest, ahead of 2**13 and 2**16 to 2**18.
 LANE_CELLS = 1 << 20
 CHUNK_CELLS = 1 << 14
@@ -201,9 +202,8 @@ def pack_tour(
         haul = weights * dist
     empty_time = ctx.time_from_positions(np.zeros(n))
 
-    packings_in_flight = min(len(alphas), max(1, LANE_CELLS // (attempts * max(n, m))))
+    packings_in_flight = min(len(alphas), max(1, LANE_CELLS // (attempts * max(m, 1))))
     rows = packings_in_flight * attempts
-    chunk = max(1, CHUNK_CELLS // max(n, m))
     order = np.empty((rows, m), dtype=np.int32)
     picked = np.zeros((rows, m), dtype=bool)
     order_flat, picked_flat = order.ravel(), picked.ravel()
@@ -216,9 +216,6 @@ def pack_tour(
     s = _Lanes()
     admitted = 0
 
-    def plan_times(lanes: np.ndarray, limits: np.ndarray) -> np.ndarray:
-        return _plan_times(ctx, order, picked, s.row[lanes], limits, chunk)
-
     while True:
         while admitted < len(alphas) and len(free) >= attempts:
             p, alpha = admitted, alphas[admitted]
@@ -227,13 +224,13 @@ def pack_tour(
             del free[-attempts:]
             order[new] = _descending(_score_rows(inst, dist, _draw_exponents(rng, attempts)))
             picked[new] = False
-            s.admit(new, m, p, alpha, reeval_period(m, divisor, alpha), empty_f[p])
+            s.admit(new, p, alpha, reeval_period(m, divisor, alpha), empty_f[p])
 
         done = (s.rank > m) | (s.phi < 1)
         if done.any():
             stale = np.flatnonzero(done & ~s.c_exact)
             if stale.size:
-                times = plan_times(stale, s.c_picks[stale])
+                times = _plan_times(ctx, order, picked, s.row[stale], s.c_picks[stale])
                 s.c_f[stale] = scalarized(s.alpha[stale], s.c_profit[stale], times, rent)
             finished = zip(
                 s.row[done].tolist(),
@@ -259,7 +256,7 @@ def pack_tour(
         end = np.minimum(-(-s.rank // s.phi) * s.phi, m)
         cols = np.arange((end - s.rank).max() + 1)
         inside = cols < (end - s.rank + 1)[:, None]
-        cells = (s.cell0 + s.rank)[:, None] + cols
+        cells = (s.row * m + s.rank - 1)[:, None] + cols
         items = order_flat[np.where(inside, cells, 0)]
         load = np.where(inside, weights[items], np.inf)
         pick = _greedy_picks(load, s.c_weight, capacity)
@@ -281,10 +278,9 @@ def pack_tour(
                 # Price the undecided plans, and the committed plans they are
                 # compared with where a bound-made commit left those unknown.
                 stale = priced[~s.c_exact[priced]]
-                times = plan_times(
-                    np.concatenate((priced, stale)),
-                    np.concatenate((end[priced], s.c_picks[stale])),
-                )
+                lanes = np.concatenate((priced, stale))
+                limits = np.concatenate((end[priced], s.c_picks[stale]))
+                times = _plan_times(ctx, order, picked, s.row[lanes], limits)
                 s.c_f[stale] = scalarized(s.alpha[stale], s.c_profit[stale], times[priced.size:], rent)
                 f = scalarized(s.alpha[priced], profit[undecided], times[: priced.size], rent)
                 gain = f > s.c_f[priced]
@@ -428,86 +424,69 @@ def _plan_times(
     picked: np.ndarray,
     rows: np.ndarray,
     limits: np.ndarray,
-    chunk: int,
 ) -> np.ndarray:
     """Travel time of the plan made of the picks of row ``rows[k]`` before
-    index ``limits[k]``, one entry per k, priced ``chunk`` rows at a time."""
-    return np.concatenate([
-        ctx.row_times(_pickup_weights(ctx, order, picked, rows[i : i + chunk], limits[i : i + chunk]))
-        for i in range(0, rows.size, chunk)
-    ])
+    index ``limits[k]``, one entry per k.
 
-
-def _pickup_weights(
-    ctx: TourContext,
-    order: np.ndarray,
-    picked: np.ndarray,
-    rows: np.ndarray,
-    limits: np.ndarray,
-) -> np.ndarray:
-    """Weight picked up at each tour position by the picks of row
-    ``rows[k]`` before index ``limits[k]``, one row per k.
-
-    The weights are added to zeros in rank order (``np.bincount`` adds in
-    input order), the order in which one greedy attempt adds them, so each
-    row equals that attempt's pickup weights bit for bit.
+    The rows are priced in chunks of ``CHUNK_CELLS // n`` plans, one row of
+    n pickup weights each.  The weights are added to zeros in rank order
+    (``np.bincount`` adds in input order), the order in which one greedy
+    attempt adds them, so each row equals that attempt's pickup weights bit
+    for bit.
     """
-    n, width = ctx.inst.n, limits.max()
-    mask = picked[rows, :width]
-    if limits.min() < width:
-        mask &= np.arange(width) < limits[:, None]
-    cells = np.flatnonzero(mask)
-    items = order[rows, :width].ravel()[cells]
-    flat = np.bincount(
-        cells // width * n + ctx.item_pos[items], weights=ctx.inst.weights[items], minlength=rows.size * n
-    )
-    return flat.reshape(rows.size, n)
+    n, weights = ctx.inst.n, ctx.inst.weights
+    chunk = max(1, CHUNK_CELLS // n)
+    times = []
+    for i in range(0, rows.size, chunk):
+        part, stop = rows[i : i + chunk], limits[i : i + chunk]
+        width = stop.max()
+        mask = picked[part, :width]
+        if stop.min() < width:
+            mask &= np.arange(width) < stop[:, None]
+        cells = np.flatnonzero(mask)
+        items = order[part, :width].ravel()[cells]
+        pos = cells // width * n + ctx.item_pos[items]
+        flat = np.bincount(pos, weights=weights[items], minlength=part.size * n)
+        times.append(ctx.row_times(flat.reshape(part.size, n)))
+    return np.concatenate(times)
+
+
+_LANE_FIELDS = {
+    "row": np.int64, "packing": np.int64, "attempt": np.int64, "alpha": np.float64,
+    "rank": np.int64, "phi": np.int64,
+    "c_picks": np.int64, "c_weight": np.float64, "c_profit": np.float64, "c_f": np.float64, "c_exact": bool,
+}
 
 
 class _Lanes:
     """State of the lanes in flight, one array per field.
 
-    ``row`` is a lane's row in the ``(rows, m)`` arrays and ``cell0`` the
-    flat offset of that row, less one for the 1-based ``rank`` of the next
-    item to analyze.  The ``c_`` fields hold the committed plan: the picks
-    of the first ``c_picks`` ranks are final, a rollback resumes after rank
-    ``max(c_picks, 1)``, and ``c_f`` is its objective where ``c_exact`` is
-    set, unknown where it is not.  Between windows a lane's plan is its
+    ``row`` is a lane's row in the ``(rows, m)`` arrays, and ``rank`` the
+    1-based rank of the next item to analyze, so its flat cell there is
+    ``row * m + rank - 1``.  The ``c_`` fields hold the committed plan: the
+    picks of the first ``c_picks`` ranks are final, a rollback resumes after
+    rank ``max(c_picks, 1)``, and ``c_f`` is its objective where ``c_exact``
+    is set, unknown where it is not.  Between windows a lane's plan is its
     committed one: a window picks nothing, ends in a re-check that commits
     or rolls back its picks, or ends the lane at rank ``m``.
     """
 
-    __slots__ = (
-        "row", "cell0", "packing", "attempt", "alpha",
-        "rank", "phi",
-        "c_picks", "c_weight", "c_profit", "c_f", "c_exact",
-    )
+    __slots__ = tuple(_LANE_FIELDS)
 
     def __init__(self) -> None:
-        none = np.zeros(0, dtype=np.int64)
-        fields = self._fresh(none, m=0, packing=0, alpha=0.0, phi=1, empty_f=0.0)
-        for name, value in fields.items():
-            setattr(self, name, value)
+        for name, dtype in _LANE_FIELDS.items():
+            setattr(self, name, np.zeros(0, dtype=dtype))
 
-    @staticmethod
-    def _fresh(
-        rows: np.ndarray, m: int, packing: int, alpha: float, phi: int, empty_f: float
-    ) -> dict[str, np.ndarray]:
-        k = rows.size
-        return {
-            "row": rows, "cell0": rows * m - 1,
-            "packing": np.full(k, packing), "attempt": np.arange(k),
-            "alpha": np.full(k, alpha),
-            "rank": np.ones(k, dtype=np.int64), "phi": np.full(k, phi),
-            "c_picks": np.zeros(k, dtype=np.int64), "c_weight": np.zeros(k),
-            "c_profit": np.zeros(k), "c_f": np.full(k, empty_f), "c_exact": np.ones(k, dtype=bool),
+    def admit(self, rows: np.ndarray, packing: int, alpha: float, phi: int, empty_f: float) -> None:
+        """Add one packing's attempts as fresh lanes in ``rows``: the empty
+        plan, with objective ``empty_f``, committed, and rank 1 next."""
+        fresh = {
+            "row": rows, "packing": packing, "attempt": np.arange(rows.size), "alpha": alpha,
+            "rank": 1, "phi": phi,
+            "c_picks": 0, "c_weight": 0.0, "c_profit": 0.0, "c_f": empty_f, "c_exact": True,
         }
-
-    def admit(self, rows: np.ndarray, *args) -> None:
-        """Add one packing's attempts as fresh lanes in ``rows``; ``args`` as
-        for :meth:`_fresh`."""
-        for name, value in self._fresh(rows, *args).items():
-            setattr(self, name, np.concatenate((getattr(self, name), value)))
+        for name, dtype in _LANE_FIELDS.items():
+            setattr(self, name, np.concatenate((getattr(self, name), np.full(rows.size, fresh[name], dtype))))
 
     def keep(self, mask: np.ndarray) -> None:
         for name in self.__slots__:

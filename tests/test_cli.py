@@ -192,6 +192,37 @@ def test_usage_errors(toy3_file, tmp_path):
     assert _solve(toy3_file, out, "--iterations", "3", "--lambda", "1.5") == 1
 
 
+def test_solve_bad_arguments_exit_1_or_2(toy3_file, tmp_path, capsys):
+    """A negative seed and a NaN beta are usage errors; an output directory
+    that cannot be made, under or at an existing file, is an input error."""
+    assert _solve(toy3_file, tmp_path / "a", "--iterations", "1", "--seed", "-1") == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert _solve(toy3_file, tmp_path / "b", "--iterations", "1", "--beta", "nan") == 1
+    assert "NaN" in capsys.readouterr().err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "below"):
+        assert _solve(toy3_file, out, "--iterations", "1") == 2
+        assert "cannot make the output directory" in capsys.readouterr().err
+
+
+def test_solve_tiny_time_limit_writes_a_scorable_front(toy3_file, tmp_path, capsys):
+    """A time limit below one cycle still runs one: the front is not empty,
+    report.json is strict JSON with finite bounds, and ``bittp hv`` scores
+    the front against it."""
+    out = tmp_path / "out"
+    assert _solve(toy3_file, out, "--time-limit", "1e-9") == 0
+    assert len(read_front_csv(out / "front.csv")) >= 1
+
+    def no_constant(name):
+        raise ValueError(f"report.json holds {name}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=no_constant)
+    assert report["cycles"] == 1
+    assert all(math.isfinite(value) for value in report["bounds"].values())
+    assert main(["hv", str(out / "front.csv"), "--bounds-file", str(out / "report.json")]) == 0
+
+
 def test_solve_beta_minus_inf_parses(toy3_file, tmp_path):
     out = tmp_path / "out"
     assert _solve(toy3_file, out, "--iterations", "5", "--beta", "-inf") == 0
@@ -382,6 +413,16 @@ def test_hv_command_front_too_far_outside_bounds(tmp_path, capsys):
     path.write_text('{"profit_min": -1e308, "profit_max": 1e308, "time_min": -1e308, "time_max": 1e308}')
     assert main(["hv", str(front), "--bounds-file", str(path)]) == 2
     assert "too far outside the bounds" in capsys.readouterr().err
+
+
+def test_hv_command_names_the_first_row_outside_the_bounds(tmp_path, capsys):
+    front = tmp_path / "a.csv"
+    front.write_text("profit,time\n1,2\n3,4\n")
+    assert main(["hv", str(front), "--bounds", "2", "10", "0", "10"]) == 2
+    err = capsys.readouterr().err
+    assert f"{front}: row 1 (1.0, 2.0) lies outside the bounds" in err
+    assert main(["hv", str(front), "--bounds", "0", "10", "0", "3"]) == 2
+    assert f"{front}: row 2 (3.0, 4.0) lies outside the bounds" in capsys.readouterr().err
 
 
 def test_hv_command_usage_errors(tmp_path):

@@ -75,6 +75,17 @@ def test_config_validation():
     assert cfg.alpha_dist is AlphaDistribution.UNIFORM
 
 
+def test_config_rejects_negative_seed_and_nan_tolerance():
+    """A negative seed would fail later in ``SeedSequence``, and a NaN 2-opt
+    tolerance would silently admit no move; -inf and +inf stay valid."""
+    with pytest.raises(ValueError, match="seed"):
+        WsmConfig(iterations=1, seed=-1)
+    with pytest.raises(ValueError, match="NaN"):
+        WsmConfig(iterations=1, two_opt_tolerance=float("nan"))
+    WsmConfig(iterations=1, two_opt_tolerance=float("-inf"))
+    WsmConfig(iterations=1, two_opt_tolerance=float("inf"))
+
+
 def _toy3_solution(toy3, items, order=(0, 1, 2), alpha=0.5):
     tour = Tour(np.array(order))
     return Solution.evaluated(toy3, tour, PackingPlan.of(toy3, items), alpha)
@@ -205,6 +216,16 @@ def test_run_time_limit_mode_stops(toy3):
     elapsed = time.perf_counter() - t0
     assert len(archive) >= 1
     assert elapsed < 5.0
+
+
+def test_run_time_limit_runs_at_least_one_cycle(toy3):
+    """A limit shorter than any cycle still runs one, so the archive is
+    never empty; the limit is read after each cycle."""
+    cycles = []
+    archive = run(toy3, WsmConfig(time_limit=1e-9, seed=0), on_cycle=lambda stats: cycles.append(stats.cycle))
+    assert cycles == [1]
+    assert len(archive) >= 1
+    assert len(random_search(toy3, seed=0, time_limit=1e-9)) >= 1
 
 
 def test_random_search_baseline():

@@ -336,6 +336,18 @@ def test_pack_tour_refills_rows_at_default_budget():
     _assert_matches_sequential(inst, tour, alphas, 12, 41, 8)
 
 
+def test_pack_tour_matches_sequential_at_ten_items_per_city():
+    """m = 10(n - 1) with the default budgets: the lanes refill their rows
+    (88 packings in flight for 117 alphas), and a re-check prices several
+    plans per chunk, as the chunks are sized by n, not m."""
+    rng = np.random.default_rng(11)
+    inst = random_instance(rng, 100, 990)
+    assert packing.LANE_CELLS // (12 * inst.m) == 88 and packing.CHUNK_CELLS // inst.n > 1
+    tour = Tour(np.concatenate(([0], rng.permutation(np.arange(1, inst.n)))))
+    alphas = [0.0, 1.0] + rng.random(115).tolist()
+    _assert_matches_sequential(inst, tour, alphas, 12, 41, 12)
+
+
 def test_pack_tour_ties_go_to_first_attempt(pi123):
     """At alpha 1 either item alone scores 10, and which one an attempt keeps
     depends on its exponents; the earliest attempt's plan must win."""
