@@ -559,3 +559,147 @@ def test_pack_tour_window_adds_as_the_greedy_does(weights, capacity, expected):
     _assert_matches_sequential(inst, tour, [1.0], 12, 5, 0)
     plan = pack_tour(inst, TourContext(inst, tour), [1.0], 12, 5, np.random.default_rng(0))[0]
     assert plan.item_indices().tolist() == expected
+
+
+def _bucket_profiles(inst, ctx, ranked, cut, edges):
+    """Per bucket of positions ``edges[k]:edges[k + 1]``, summed one item at
+    a time: the legs' length, the committed picks ``ranked[:cut]``' weight
+    and in-bucket haul, and those of the picks ``ranked[cut:]`` it adds."""
+    legs = ctx.leg.tolist()
+    bucket = np.searchsorted(edges, np.arange(inst.n), side="right") - 1
+    length = np.array([sum(legs[a:b]) for a, b in zip(edges[:-1], edges[1:])])
+    load, haul = np.zeros((2, length.size)), np.zeros((2, length.size))
+    for k, item in enumerate(ranked):
+        pos = ctx.item_pos[item]
+        side = int(k >= cut)
+        load[side, bucket[pos]] += inst.weights[item]
+        haul[side, bucket[pos]] += inst.weights[item] * sum(legs[pos : edges[bucket[pos] + 1]])
+    return length, load, haul
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30),
+    picks=st.integers(1, 40),
+    speed_ratio=st.one_of(st.sampled_from([1e-6, 1e-3, 0.5]), st.floats(1e-6, 0.999)),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    rent=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e3)),
+    scale=st.sampled_from([1.0, 1e3, 1e9, 1e15]),
+    zero_profits=st.booleans(),
+    full=st.booleans(),
+    tail_at_depot=st.booleans(),
+    buckets=st.sampled_from(["one", "two", "n"]),
+)
+@example(
+    seed=5, n=5, picks=6, speed_ratio=0.1, alpha=0.01, rent=1.0, scale=1e15,
+    zero_profits=False, full=False, tail_at_depot=True, buckets="n",
+)
+def test_profile_bounds_agree_with_priced_objectives(
+    seed, n, picks, speed_ratio, alpha, rent, scale, zero_profits, full, tail_at_depot, buckets
+):
+    """The data of test_recheck_bounds_agree_with_priced_objectives, bounded
+    from weight profiles over one bucket, two buckets and one bucket per
+    position: a decided re-check goes the way the priced one does, and the
+    objective range of each plan holds its priced objective."""
+    rng = np.random.default_rng(seed)
+    coords = np.floor(rng.random((n, 2)) * scale)
+    order = np.concatenate(([0], rng.permutation(np.arange(1, n))))
+    if tail_at_depot:
+        coords[order[n // 2 :]] = coords[0]
+    profits = rng.integers(1, 101, size=picks).astype(float)
+    if zero_profits:
+        profits[rng.random(picks) < 0.5] = 0.0
+    weights = rng.integers(1, 51, size=picks).astype(float)
+    item_city = np.where(rng.random(picks) < 0.5, order[-1], rng.integers(1, n, size=picks))
+    total = float(weights.sum())
+    inst = ProblemInstance(
+        name="profiles",
+        coords=coords,
+        profits=profits,
+        weights=weights,
+        item_city=item_city,
+        capacity=total if full else total * (1.0 + rng.random() * 3),
+        min_speed=speed_ratio,
+        max_speed=1.0,
+        renting_rate=rent,
+    )
+    ctx = TourContext(inst, Tour(order))
+    empty_time = ctx.time_from_positions(np.zeros(n))
+    edges = {"one": [0, n], "two": [0, n // 2, n], "n": list(range(n + 1))}[buckets]
+    ranked = rng.permutation(picks)
+    a = np.array([alpha])
+    for cut in range(picks):
+        lane, f_new, f_commit = _priced_recheck(inst, ctx, ranked, cut, alpha)
+        profit, _, weight, c_profit, c_weight = lane
+        length, load, haul = _bucket_profiles(inst, ctx, ranked, cut, edges)
+        better, worse = packing.profile_bounds(
+            inst, empty_time, a, np.array([profit]), np.array([weight]), np.array([c_profit]),
+            np.array([c_weight]), length, load[:1], load[1:], haul[1:],
+        )
+        assert not (better[0] and worse[0])
+        if better[0]:
+            assert f_new > f_commit
+        if worse[0]:
+            assert f_new <= f_commit
+        # Each plan is bounded against the empty one, so all its picks are added.
+        _, whole, whole_haul = _bucket_profiles(inst, ctx, ranked, picks, edges)
+        for p, w, plan_load, plan_haul, f in (
+            (c_profit, c_weight, load[:1], haul[:1], f_commit),
+            (profit, weight, whole[:1], whole_haul[:1], f_new),
+        ):
+            low, high = packing.objective_range(
+                inst, empty_time, a, np.array([p]), np.array([w]), length, plan_load, plan_haul,
+            )
+            assert low[0] <= f <= high[0]
+
+
+def test_profile_bounds_with_one_bucket_are_recheck_bounds():
+    """One bucket holding the whole tour gives recheck_bounds' masks, lane
+    for lane, from the lanes' totals: its haul is their haul."""
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng, 40, 120)
+    lanes = 4000
+    weight = rng.uniform(0.0, inst.capacity, lanes)
+    c_weight = weight * rng.choice([0.0, 0.5, 0.999, 1.0], lanes)
+    profit = rng.uniform(0.0, 1e4, lanes)
+    c_profit = profit * rng.uniform(0.0, 1.0, lanes)
+    haul = (weight - c_weight) * rng.uniform(0.0, 1e4, lanes)
+    alpha = rng.choice([0.0, 1.0, 0.3, 0.7], lanes)
+    length = np.array([1e6])  # multiplies the weight added before the bucket, 0
+    want = packing.recheck_bounds(inst, 5e4, alpha, profit, haul, weight, c_profit, c_weight)
+    got = packing.profile_bounds(
+        inst, 5e4, alpha, profit, weight, c_profit, c_weight,
+        length, c_weight[:, None], (weight - c_weight)[:, None], haul[:, None],
+    )
+    assert want[0].any() and want[1].any() and not (want[0] | want[1]).all()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_profile_bounds_price_a_tenth_of_the_rechecks(monkeypatch):
+    """On a constructed n=1000 tour, the bounds from totals and then from
+    weight profiles leave fewer than a tenth of the re-checks to price,
+    stale committed plans included (about 2,400 rows of 24,700 re-checks)."""
+    rng = np.random.default_rng(1)
+    inst = random_instance(rng, 1000, 999)
+    tour = construct_tour(inst, rng)
+    rechecks = priced = 0
+    bounds = packing.recheck_bounds
+
+    def counted_bounds(*args):
+        nonlocal rechecks
+        rechecks += args[2].size
+        return bounds(*args)
+
+    class CountedContext(TourContext):
+        __slots__ = ()
+
+        def row_times(self, weight_by_pos):
+            nonlocal priced
+            priced += weight_by_pos.shape[0]
+            return super().row_times(weight_by_pos)
+
+    monkeypatch.setattr(packing, "recheck_bounds", counted_bounds)
+    pack_tour(inst, CountedContext(inst, tour), rng.random(117).tolist(), 12, 41, rng)
+    assert rechecks > 20_000
+    assert priced < rechecks / 10
