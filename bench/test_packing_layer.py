@@ -38,7 +38,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from bittp import TourContext, WsmConfig, construct_tour, driver, packing, run  # noqa: E402
+from bittp import NeighborLists, TourContext, WsmConfig, construct_tour, driver, packing, run  # noqa: E402
 from bittp.packing import pack_tour  # noqa: E402
 from generate_instance import make_instance  # noqa: E402
 
@@ -50,7 +50,8 @@ DIVISOR = 41
 @functools.lru_cache(maxsize=None)
 def _tour(n, per_city):
     inst = make_instance(np.random.default_rng(1), n, per_city, 5, 5.0)
-    return inst, TourContext(inst, construct_tour(inst, np.random.default_rng(0)))
+    tour = construct_tour(inst, np.random.default_rng(0), NeighborLists.build(inst))
+    return inst, TourContext(inst, tour)
 
 
 class _FirstPacking(Exception):

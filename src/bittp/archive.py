@@ -117,20 +117,16 @@ class Archive:
         """Member maximizing the scalarized objective (see
         :func:`~bittp.evaluation.scalarized`).
 
-        Ties break toward lower time, then lower profit.
+        Ties break toward lower time: members hold strictly increasing
+        profit and time, so the first of the maxima is the one.
         """
         if not self._profits:
             raise ValueError("archive is empty")
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha {alpha} outside [0, 1]")
-        best = None
-        best_key = None
-        for g, h, s in zip(self._profits, self._times, self._solutions):
-            key = (scalarized(alpha, g, h, renting_rate), -h, -g)
-            if best_key is None or key > best_key:
-                best_key = key
-                best = Entry(g, h, s)
-        return best
+        f = scalarized(alpha, np.asarray(self._profits), np.asarray(self._times), renting_rate)
+        k = int(np.argmax(f))
+        return Entry(self._profits[k], self._times[k], self._solutions[k])
 
     def merge(self, other: "Archive") -> None:
         """Fold another archive into this one by replaying its entries."""

@@ -43,6 +43,7 @@ INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
 HV_REF = (0.0, 1.0)
+TRACE_INTERVAL = 1.0  # seconds between the hypervolume trace's snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +83,24 @@ def read_front_csv(path: str | Path) -> list[tuple[float, float, float | None]]:
     return out
 
 
+def _one_based(indices: np.ndarray) -> str:
+    return " ".join(map(str, (indices + 1).tolist()))
+
+
 def write_solutions(path: Path, archive: Archive) -> None:
+    """A ``#`` objectives line, a ``t`` tour line and a ``p`` plan line per
+    entry, with 1-based indices.  Entries share tour objects, so each
+    distinct tour is formatted once."""
+    tours: dict[int, str] = {}
     lines = []
     for entry in archive.entries():
         sol: Solution = entry.solution
+        tour = tours.get(id(sol.tour))
+        if tour is None:
+            tour = tours[id(sol.tour)] = _one_based(sol.tour.order)
         lines.append(f"# {repr(entry.profit)} {repr(entry.time)}")
-        lines.append("t " + " ".join(str(c + 1) for c in sol.tour.order))
-        lines.append(("p " + " ".join(str(j + 1) for j in sol.plan.item_indices())).rstrip())
+        lines.append("t " + tour)
+        lines.append(("p " + _one_based(sol.plan.item_indices())).rstrip())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -161,17 +173,16 @@ class RunReport:
 
 class _TraceRecorder:
     """The ``on_cycle`` callback of every run of a solve: counts cycles and
-    snapshots the front at roughly fixed intervals of one clock, which
-    starts when the recorder is made.
+    snapshots the front every ``TRACE_INTERVAL`` seconds or so of one
+    clock, which starts when the recorder is made.
 
     ``finished`` is the archive the solve merges its finished runs into.
     A snapshot holds the front of ``finished`` and the running archive
     together, so the trace never falls from one run to the next.
     """
 
-    def __init__(self, interval: float = 1.0, finished: Archive | None = None):
-        self.interval = interval
-        self.finished = Archive() if finished is None else finished
+    def __init__(self, finished: Archive):
+        self.finished = finished
         self.start = _time.perf_counter()
         self.snapshots: list[tuple[float, list[Point]]] = []
         self.cycles = 0
@@ -179,7 +190,7 @@ class _TraceRecorder:
     def __call__(self, stats: CycleStats) -> None:
         self.cycles += 1
         elapsed = _time.perf_counter() - self.start
-        if not self.snapshots or elapsed >= self.snapshots[-1][0] + self.interval:
+        if not self.snapshots or elapsed >= self.snapshots[-1][0] + TRACE_INTERVAL:
             self.snapshots.append((elapsed, self._front(stats.archive)))
 
     def _front(self, running: Archive) -> list[Point]:
@@ -279,7 +290,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return INPUT_ERROR
 
     merged = Archive()
-    tracer = _TraceRecorder(finished=merged)
+    tracer = _TraceRecorder(merged)
     for i in range(args.runs):
         merged.merge(run(inst, replace(per_run, seed=config.seed + i), on_cycle=tracer))
     wall = _time.perf_counter() - tracer.start

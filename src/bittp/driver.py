@@ -191,7 +191,7 @@ def run(
 
     for _ in _cycles(archive, config.iterations, config.time_limit, on_cycle):
         # Exploration: one fresh tour, many randomized packings.
-        tour = construct_tour(inst, rngs["tour"], neighbors=neighbors)
+        tour = construct_tour(inst, rngs["tour"], neighbors)
         ctx = TourContext(inst, tour)
         alphas = [
             sample_alpha(config.alpha_dist, rngs["alpha"]) for _ in range(config.packings_per_tour)

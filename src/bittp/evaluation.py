@@ -24,6 +24,7 @@ import numpy as np
 from .instance import ProblemInstance
 
 EXPLOIT_CELLS = 1 << 16  # cells of each (moves, n) array that TourContext.reversal_times prices at once
+REL_TOL = 1e-9  # relative tolerance of validate_solution on cached profit and time
 
 
 @dataclass(frozen=True)
@@ -317,11 +318,9 @@ def weighted_objective(
     return scalarized(alpha, total_profit(inst, plan), travel_time(inst, tour, plan), inst.renting_rate)
 
 
-def validate_solution(
-    inst: ProblemInstance, sol: Solution, rel_tol: float = 1e-9
-) -> None:
+def validate_solution(inst: ProblemInstance, sol: Solution) -> None:
     """Raise ValueError unless ``sol`` is feasible and its cached values agree
-    with a from-scratch re-evaluation."""
+    with a from-scratch re-evaluation, to ``REL_TOL``."""
     if len(sol.tour) != inst.n:
         raise ValueError("tour length does not match instance")
     if sol.plan.selected.shape != (inst.m,):
@@ -331,7 +330,7 @@ def validate_solution(
         raise ValueError(f"plan weight {weight} exceeds capacity {inst.capacity}")
     g = total_profit(inst, sol.plan)
     h = travel_time(inst, sol.tour, sol.plan)
-    if abs(g - sol.profit) > rel_tol * max(1.0, abs(g)):
+    if abs(g - sol.profit) > REL_TOL * max(1.0, abs(g)):
         raise ValueError(f"cached profit {sol.profit} != recomputed {g}")
-    if abs(h - sol.time) > rel_tol * max(1.0, abs(h)):
+    if abs(h - sol.time) > REL_TOL * max(1.0, abs(h)):
         raise ValueError(f"cached time {sol.time} != recomputed {h}")

@@ -104,7 +104,9 @@ class _Descent:
     distances, and the others come from ``inst.pair_distances``.  Every
     distance is an integer held in a float64, so each gain and each
     ``> 0.5`` test is exact in any evaluation order and agrees with
-    pricing the moves one city at a time.
+    pricing the moves one city at a time.  A 2-opt and an Or-opt move
+    both rewrite one span of the tour, so :meth:`first_move` returns each
+    as that span and :meth:`apply` writes it the same way.
     """
 
     def __init__(self, inst: ProblemInstance, neighbors: NeighborLists):
@@ -169,12 +171,13 @@ class _Descent:
 
         A city's move is the one the one-city scan makes: the first
         improving 2-opt candidate, forward before backward, else the first
-        improving Or-opt relocation, shorter segments first.  ``move`` is
-        ``("2opt", p, q, touched)``, reversing the tour between the edges
-        that leave positions p and q, or ``("oropt", i, seg_len, j,
-        reverse, touched)``, moving the segment at position i after
-        position j; ``touched`` lists the cities whose queue entries the
-        move renews.  Returns None when no city of the block has a move.
+        improving Or-opt relocation, shorter segments first.  Either kind
+        is returned as the span it rewrites, ``(lo, hi, cities, touched)``:
+        ``cities`` is the new content of ``order[lo:hi]``, the reversed
+        slice for a 2-opt move, and for an Or-opt move the segment (reversed
+        or not) joined to the block it jumps over.  ``touched`` lists the
+        cities whose queue entries the move renews.  Returns None when no
+        city of the block has a move.
         """
         n, order, pos, leg, near, nbr = self.n, self.order, self.pos, self.leg, self.near, self.nbr
         dist = self.inst.pair_distances
@@ -202,8 +205,9 @@ class _Descent:
         if hits.size:
             r, s, t = r[hits[0]], s[hits[0]], t[hits[0]]
             limit = int(r)
+            lo, hi = sorted((int(edge_a[r, s]) % n + 1, int(edge_c[r, s, t]) % n + 1))
             touched = (int(cities[r]), int(b[r, s]), int(c[r, t]), int(d2[r, s, t]))
-            found = (limit, ("2opt", int(edge_a[r, s]) % n, int(edge_c[r, s, t]) % n, touched))
+            found = (limit, (lo, hi, order[lo:hi][::-1].copy(), touched))
 
         # Or-opt, for the cities before the first 2-opt mover: move the
         # segment of 1-3 cities (axis 1) that starts at a between a neighbor
@@ -253,33 +257,27 @@ class _Descent:
                 int(cand[r, seg, t]),
                 int(cnxt[r, seg, t]),
             )
-            reverse = bool(cost_rev[r, seg, t] < cost_fwd[r, seg, t])
-            found = (r, ("oropt", int(i[r]), seg + 1, int(jc[r, seg, t]), reverse, touched))
+            i0, j0, length = int(i[r]), int(jc[r, seg, t]), seg + 1
+            segment = order[i0 : i0 + length]
+            if cost_rev[r, seg, t] < cost_fwd[r, seg, t]:
+                segment = segment[::-1]
+            if j0 < i0:  # the segment jumps back over order[j0 + 1 : i0]
+                lo, hi = j0 + 1, i0 + length
+                span = np.concatenate((segment, order[lo:i0]))
+            else:  # forward over order[i0 + length : j0 + 1]
+                lo, hi = i0, j0 + 1
+                span = np.concatenate((order[i0 + length : hi], segment))
+            found = (r, (lo, hi, span, touched))
         return found
 
     def apply(self, move) -> tuple[int, ...]:
-        """Make ``move`` and return its ``touched`` cities."""
-        n, order = self.n, self.order
-        if move[0] == "2opt":
-            _, p, q, touched = move
-            lo, hi = (p + 1, q + 1) if p < q else (q + 1, p + 1)
-            order[lo:hi] = order[lo:hi][::-1].copy()
-        else:
-            _, i, seg_len, j, reverse, touched = move
-            seg = order[i : i + seg_len].copy()
-            if reverse:
-                seg = seg[::-1]
-            if j < i:
-                lo, hi = j + 1, i + seg_len
-                order[lo + seg_len : hi] = order[lo:i].copy()
-                order[lo : lo + seg_len] = seg
-            else:
-                lo, hi = i, j + 1
-                order[lo : hi - seg_len] = order[i + seg_len : hi].copy()
-                order[hi - seg_len : hi] = seg
-        self.pos[order[lo:hi]] = np.arange(lo, hi)
+        """Write ``move``'s span into the tour and return its ``touched`` cities."""
+        lo, hi, cities, touched = move
+        order = self.order
+        order[lo:hi] = cities
+        self.pos[cities] = np.arange(lo, hi)
         edges = np.arange(lo - 1, hi)
-        self.leg[edges] = self.inst.pair_distances(order[edges], order[(edges + 1) % n])
+        self.leg[edges] = self.inst.pair_distances(order[edges], order[(edges + 1) % self.n])
         return touched
 
 
@@ -293,19 +291,18 @@ def _double_bridge(order: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def construct_tour(
     inst: ProblemInstance,
     rng: np.random.Generator,
+    neighbors: NeighborLists,
     *,
-    neighbors: NeighborLists | None = None,
     kicks: int = 3,
 ) -> Tour:
     """Build a tour: nearest-neighbor from a random start, then chained descent.
 
+    ``neighbors`` are the candidate lists of both, built once per run.
     After the first descent the tour is perturbed ``kicks`` times by a
     double-bridge move and re-descended, ending in whatever local optimum
     the walk reaches; successive calls therefore sample diverse local
     optima rather than converging to one basin per start city.
     """
-    if neighbors is None:
-        neighbors = NeighborLists.build(inst)
     descent = _Descent(inst, neighbors)
     start = int(rng.integers(inst.n))
     order = _nearest_neighbor_order(inst, start, neighbors)

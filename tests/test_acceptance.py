@@ -295,7 +295,7 @@ def test_criterion_8_anytime():
     same budget by at least 10% (shared bounds)."""
     rng = np.random.default_rng(808)
     inst = _benchmark_style(rng, 280, 1)
-    tracer = _TraceRecorder(interval=1.0)
+    tracer = _TraceRecorder(Archive())
     started = time.perf_counter()
     archive = run(inst, WsmConfig(time_limit=60.0, seed=1), on_cycle=tracer)
     tracer.finalize(time.perf_counter() - started, archive)

@@ -11,6 +11,7 @@ from bittp import (
     subset_select,
     weakly_dominates,
 )
+from bittp.evaluation import scalarized
 
 from gen import random_front
 from oracles import (
@@ -143,19 +144,27 @@ def test_best_for_alpha_empty_raises():
         Archive().best_for_alpha(0.5, 1.0)
 
 
+def _best_by_scan(arc, alpha, rent):
+    """The member with the largest key (scalarized objective, -time, -profit)."""
+    best = best_key = None
+    for g, h, s in arc.entries():
+        key = (scalarized(alpha, g, h, rent), -h, -g)
+        if best_key is None or key > best_key:
+            best_key, best = key, (g, h, s)
+    return best
+
+
 def test_best_for_alpha_matches_linear_scan():
+    """3,000 random archives, each at alphas 0, 0.5, 1 and a random one; the
+    integer objectives make tied scalarized values common."""
     rng = np.random.default_rng(10)
-    for _ in range(50):
+    for _ in range(3000):
         arc = Archive()
-        for _ in range(int(rng.integers(1, 80))):
-            arc.add(float(rng.integers(0, 1000)), float(rng.integers(1, 1000)))
-        alpha = float(rng.random())
-        rent = float(rng.integers(0, 5))
-        got = arc.best_for_alpha(alpha, rent)
-        keyed = [
-            (alpha * g - (1 - alpha) * rent * h, -h, -g, (g, h)) for g, h in arc.points()
-        ]
-        assert (got.profit, got.time) == max(keyed)[3]
+        for k in range(int(rng.integers(1, 80))):
+            arc.add(float(rng.integers(0, 1000)), float(rng.integers(1, 1000)), k)
+        rent = float(rng.choice([0.0, 0.1, 1.0, 5.0]))
+        for alpha in (0.0, 0.5, 1.0, float(rng.random())):
+            assert tuple(arc.best_for_alpha(alpha, rent)) == _best_by_scan(arc, alpha, rent)
 
 
 def test_bounds_track_every_offer():

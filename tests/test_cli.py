@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from bittp import Solution, total_profit, travel_time, validate_solution
-from bittp.cli import main, read_front_csv, read_solutions
+from bittp import Archive, PackingPlan, Solution, Tour, total_profit, travel_time, validate_solution
+from bittp.cli import main, read_front_csv, read_solutions, write_solutions
 from bittp.instance import load_instance, write_instance
 
 from gen import random_instance
@@ -97,6 +97,29 @@ def test_solve_fractional_weights_writes_valid_plans(tmp_path, seed):
     assert sols
     for profit, time, tour, plan in sols:
         validate_solution(inst, Solution(tour, plan, profit, time))
+
+
+def test_write_solutions_equals_per_entry_formatting(tmp_path):
+    """Formatting each shared tour once writes the bytes of formatting every
+    entry's tour and plan index by index; one entry's plan is empty."""
+    rng = np.random.default_rng(5)
+    inst = random_instance(rng, 40, 30)
+    tours = [Tour(np.concatenate(([0], rng.permutation(np.arange(1, 40))))) for _ in range(3)]
+    archive = Archive()
+    for k in range(12):
+        items = rng.choice(inst.m, size=k, replace=False)  # entry 0 packs nothing
+        sol = Solution.evaluated(inst, tours[k % 3], PackingPlan.of(inst, items))
+        assert archive.add(k + 0.25, k / 3, sol)
+    lines = []
+    for entry in archive.entries():
+        sol = entry.solution
+        lines.append(f"# {repr(entry.profit)} {repr(entry.time)}")
+        lines.append("t " + " ".join(str(c + 1) for c in sol.tour.order))
+        lines.append(("p " + " ".join(str(j + 1) for j in sol.plan.item_indices())).rstrip())
+    want = ("\n".join(lines) + "\n").encode()
+    assert b"\np\n" in want
+    write_solutions(tmp_path / "solutions.txt", archive)
+    assert (tmp_path / "solutions.txt").read_bytes() == want
 
 
 def test_max_solutions_caps_front(toy3_file, tmp_path):

@@ -155,7 +155,7 @@ def test_bit_flip_values_match_from_scratch(toy3):
 def test_run_toy3_recovers_exact_front(toy3):
     archive = run(toy3, WsmConfig(iterations=40, seed=3))
     for entry in archive.entries():
-        validate_solution(toy3, entry.solution, rel_tol=1e-6)
+        validate_solution(toy3, entry.solution)
     pts = archive.points()
     assert len(pts) == len(TOY3_FRONT)
     for (g, h), (eg, eh) in zip(pts, TOY3_FRONT):

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bittp import (
+    NeighborLists,
     PackingPlan,
     ProblemInstance,
     Tour,
@@ -426,7 +427,7 @@ def _count_rechecks(monkeypatch, n):
     assert n > packing.BUCKET_SIZE
     rng = np.random.default_rng(1)
     inst = random_instance(rng, n, n - 1)
-    tour = construct_tour(inst, rng)
+    tour = construct_tour(inst, rng, NeighborLists.build(inst))
     calls = rechecks = priced = 0
     bounds = packing.gain_range
 

@@ -93,20 +93,22 @@ def test_distance_matrix_matches_scalar(toy3):
 
 def test_construct_two_cities():
     inst = _inst([(0, 0), (7, 0)])
-    tour = construct_tour(inst, np.random.default_rng(0))
+    tour = construct_tour(inst, np.random.default_rng(0), NeighborLists.build(inst))
     assert tour.order.tolist() == [0, 1]
 
 
 def test_construct_toy3_length(toy3):
+    neighbors = NeighborLists.build(toy3)
     for seed in range(6):
-        tour = construct_tour(toy3, np.random.default_rng(seed))
+        tour = construct_tour(toy3, np.random.default_rng(seed), neighbors)
         assert toy3.tour_length(tour.order) == 12.0
         assert tour.order[0] == 0
 
 
 def test_construct_unit_square_optimal():
+    neighbors = NeighborLists.build(UNIT_SQUARE)
     for seed in range(6):
-        tour = construct_tour(UNIT_SQUARE, np.random.default_rng(seed))
+        tour = construct_tour(UNIT_SQUARE, np.random.default_rng(seed), neighbors)
         assert UNIT_SQUARE.tour_length(tour.order) == 4.0
 
 
@@ -114,7 +116,7 @@ def test_construct_tours_are_valid_permutations():
     rng = np.random.default_rng(123)
     for _ in range(10):
         inst = random_instance(rng, int(rng.integers(2, 40)), 3)
-        tour = construct_tour(inst, rng)
+        tour = construct_tour(inst, rng, NeighborLists.build(inst))
         assert tour.order[0] == 0
         assert sorted(tour.order.tolist()) == list(range(inst.n))
 
@@ -124,9 +126,10 @@ def test_construct_quality_statistical():
     least 95 of 100 seeded runs on a small instance."""
     inst = random_instance(np.random.default_rng(77), 8, 4)
     best = brute_best_tour_length(inst)
+    neighbors = NeighborLists.build(inst)
     ok = 0
     for seed in range(100):
-        tour = construct_tour(inst, np.random.default_rng(seed))
+        tour = construct_tour(inst, np.random.default_rng(seed), neighbors)
         if inst.tour_length(tour.order) <= 1.05 * best:
             ok += 1
     assert ok >= 95, f"only {ok}/100 constructions within 5% of optimum"
@@ -357,7 +360,7 @@ def test_two_opt_exploit_matches_sequential_scan_n1000(tolerance):
     this pivot has an improving admissible neighbor at both tolerances."""
     inst = random_instance(np.random.default_rng(21), 1000, 1000, coord_range=5000)
     rng = np.random.default_rng(6)
-    tour = construct_tour(inst, rng)
+    tour = construct_tour(inst, rng, NeighborLists.build(inst))
     plan = pack_tour(inst, TourContext(inst, tour), [0.9], 12, 41, rng)[0]
     sol = Solution.evaluated(inst, tour, plan, 0.9)
     ell = average_pair_distance(inst)
