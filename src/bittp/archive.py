@@ -23,6 +23,7 @@ import numpy as np
 from .evaluation import scalarized
 
 Point = tuple[float, float]
+HV_REF: Point = (0.0, 1.0)  # reference point of hypervolumes over normalized objectives
 
 
 def weakly_dominates(p: Point, q: Point) -> bool:
@@ -151,11 +152,11 @@ def normalize(points: Sequence[Point], bounds: ObjectiveBounds) -> np.ndarray:
     return out
 
 
-def _sorted_front(points: np.ndarray, ref: Point) -> np.ndarray:
-    """Sort by normalized profit ascending and validate the preconditions."""
+def _sorted_front(points: Sequence[Point], ref: Point) -> tuple[np.ndarray, np.ndarray]:
+    """The points sorted by profit ascending, and the order that sorts them;
+    raises ``ValueError`` unless they are mutually non-dominated and ``ref``
+    is dominated by every one of them."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return pts
     if (pts[:, 0] < ref[0]).any() or (pts[:, 1] > ref[1]).any():
         raise ValueError(
             f"reference point {ref} is dominated: every point must have "
@@ -163,20 +164,18 @@ def _sorted_front(points: np.ndarray, ref: Point) -> np.ndarray:
         )
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
-    if pts.shape[0] > 1:
-        g, h = pts[:, 0], pts[:, 1]
-        if (np.diff(g) <= 0).any() or (np.diff(h) <= 0).any():
-            raise ValueError("points are not mutually non-dominated")
-    return pts
+    if (np.diff(pts[:, 0]) <= 0).any() or (np.diff(pts[:, 1]) <= 0).any():
+        raise ValueError("points are not mutually non-dominated")
+    return pts, order
 
 
-def hypervolume(points: Sequence[Point], ref: Point = (0.0, 1.0)) -> float:
+def hypervolume(points: Sequence[Point], ref: Point = HV_REF) -> float:
     """Exact 2D hypervolume of a non-dominated front w.r.t. ``ref``.
 
     With points sorted by profit ascending, the dominated region
     decomposes into rectangles (g_i - g_{i-1}) x (h_ref - h_i).
     """
-    pts = _sorted_front(points, ref)
+    pts, _ = _sorted_front(points, ref)
     acc = 0.0
     prev_g = ref[0]
     for g, h in pts:
@@ -185,45 +184,37 @@ def hypervolume(points: Sequence[Point], ref: Point = (0.0, 1.0)) -> float:
     return acc
 
 
-def subset_select(
-    points: Sequence[Point], k: int, ref: Point = (0.0, 1.0)
-) -> list[int]:
+def subset_select(points: Sequence[Point], k: int, ref: Point = HV_REF) -> list[int]:
     """Indices (into ``points``) of a size-<=k subset maximizing hypervolume.
 
     Dynamic program over points sorted by profit: state (i, c) is the best
-    hypervolume using point i as the rightmost of c selected points, with
-    the transition ranging over the previous selected point.  O(len(points)^2 * k).
+    hypervolume using point i as the rightmost of c + 1 selected points,
+    with the transition ranging over the previous selected point, the first
+    of the maxima on ties.  Each point prices every c at once.
+    O(len(points)^2 * k).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    pts, order = _sorted_front(points, ref)
     n = pts.shape[0]
-    if n == 0:
-        return []
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    _sorted_front(pts, ref)  # validation only
-    g = pts[order, 0]
-    h = pts[order, 1]
     if k >= n:
-        return [int(i) for i in order]
+        return order.tolist()
 
-    height = ref[1] - h  # height of each point's rectangle
-    best = np.full((n, k), -np.inf)
+    g = pts[:, 0]
+    height = ref[1] - pts[:, 1]  # height of each point's rectangle
+    best = np.full((n, k), -np.inf)  # rows i < c stay -inf: i + 1 points cannot hold c + 1
     parent = np.full((n, k), -1, dtype=np.int64)
     best[:, 0] = (g - ref[0]) * height
-    for c in range(1, k):
-        for i in range(c, n):
-            gains = best[:i, c - 1] + (g[i] - g[:i]) * height[i]
-            j = int(np.argmax(gains))
-            best[i, c] = gains[j]
-            parent[i, c] = j
+    for i in range(1, n):
+        gains = best[:i, :-1] + ((g[i] - g[:i]) * height[i])[:, None]
+        parent[i, 1:] = gains.argmax(axis=0)
+        best[i, 1:] = gains.max(axis=0)
 
-    flat = int(np.argmax(best))
-    i, c = divmod(flat, k)
+    i, c = divmod(int(np.argmax(best)), k)
     chosen = []
     while i >= 0:
         chosen.append(i)
         i = int(parent[i, c])
         c -= 1
     chosen.reverse()
-    return [int(order[i]) for i in chosen]
+    return order[chosen].tolist()

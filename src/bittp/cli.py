@@ -7,16 +7,18 @@ solution was first accepted), ``solutions.txt`` (tours and packing plans,
 1-based indices), and ``report.json`` (configuration echo, wall time,
 front sizes, normalization bounds, final hypervolume, and a per-second
 hypervolume trace).  With ``--runs k`` it makes k seeded runs one after
-another, seeds ``seed`` to ``seed + k - 1``, each with ``1/k`` of
+another, seeds ``seed`` to ``seed + k - 1``, each limited to ``1/k`` of
 ``--time-limit``, and merges their fronts in seed order; the report counts
 the cycles of every run, and each trace point is the hypervolume of the
-front merged so far.
+front merged so far.  Each run also pays its own set-up and makes at least
+one cycle, so the command can take longer than ``--time-limit``.
 
 ``bittp hv`` scores one or more front CSVs against shared normalization
 bounds and prints the pairwise percentage variation
 (hv_a - hv_b) / max(hv_a, hv_b) * 100.
 
-Exit codes: 0 success, 1 usage error, 2 input error, 3 internal error.
+Exit codes: 0 success, 1 usage error (a flag that argparse or
+:class:`~bittp.driver.WsmConfig` rejects), 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 import sys
 import time as _time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +37,15 @@ from .archive import Archive, ObjectiveBounds, Point, hypervolume, normalize, su
 from .driver import AlphaDistribution, CycleStats, WsmConfig, run
 from .evaluation import PackingPlan, Solution, Tour
 from .instance import InstanceError, ProblemInstance, load_instance
-# The benchmark (perfbench/run.py) and the acceptance tests import write_instance from here.
+# The benchmark (perfbench/run.py) imports HV_REF and write_instance from here,
+# and the acceptance tests import write_instance.
+from .archive import HV_REF  # noqa: F401
 from .instance import write_instance  # noqa: F401
 
 USAGE_ERROR = 1
 INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
-HV_REF = (0.0, 1.0)
 TRACE_INTERVAL = 1.0  # seconds between the hypervolume trace's snapshots
 
 
@@ -149,26 +152,7 @@ def _hypervolume(points: list[Point], bounds: ObjectiveBounds) -> float:
         front = Archive()
         for g, h in normalized:
             front.add(g, h)
-        return hypervolume(front.points(), HV_REF)
-
-
-@dataclass
-class RunReport:
-    """Summary of one solve invocation, serialized to report.json."""
-
-    instance: str
-    config: dict
-    runs: int
-    wall_time: float
-    cycles: int
-    front_size: int
-    front_size_written: int
-    bounds: dict
-    hypervolume: float
-    trace: list[dict]
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return hypervolume(front.points())
 
 
 class _TraceRecorder:
@@ -212,12 +196,19 @@ class _TraceRecorder:
 # ---------------------------------------------------------------------------
 # solve
 
+def positive_int(text: str) -> int:
+    """The argparse ``type`` of ``--runs`` and ``--max-solutions``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, not {value}")
+    return value
+
+
 def _add_solve_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance file to solve")
-    p.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
-    p.add_argument(
-        "--iterations", type=int, help="cycle budget (deterministic; excludes --time-limit)"
-    )
+    budget = p.add_mutually_exclusive_group(required=True)
+    budget.add_argument("--time-limit", type=float, help="wall-clock budget in seconds")
+    budget.add_argument("--iterations", type=int, help="cycle budget per run (deterministic)")
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--eta", type=int, default=117, help="packing plans built per tour")
     p.add_argument("--rho", type=int, default=12, help="attempts per packing construction")
@@ -241,22 +232,12 @@ def _add_solve_args(p: argparse.ArgumentParser) -> None:
         default=AlphaDistribution.UNIFORM.value,
         help="distribution of the scalarization weight",
     )
-    p.add_argument("--max-solutions", type=int, help="cap the written front via subset selection")
+    p.add_argument("--max-solutions", type=positive_int, help="cap the written front via subset selection")
     p.add_argument("--output-dir", default=".", help="directory for front.csv/solutions.txt/report.json")
-    p.add_argument("--runs", type=int, default=1, help="seeded runs, made in turn and merged; they share --time-limit")
+    p.add_argument("--runs", type=positive_int, default=1, help="seeded runs, made in turn and merged; they share --time-limit")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if (args.time_limit is None) == (args.iterations is None):
-        print("solve: set exactly one of --time-limit and --iterations", file=sys.stderr)
-        return USAGE_ERROR
-    if args.runs < 1:
-        print("solve: --runs must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-    if args.max_solutions is not None and args.max_solutions < 1:
-        print("solve: --max-solutions must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
-
     try:
         inst = load_instance(args.instance)
     except (OSError, UnicodeError, InstanceError) as exc:
@@ -300,7 +281,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     front_size = len(merged)
     written = merged
     if args.max_solutions is not None and front_size > args.max_solutions:
-        keep = subset_select(normalize(merged.points(), bounds), args.max_solutions, HV_REF)
+        keep = subset_select(normalize(merged.points(), bounds), args.max_solutions)
         entries = merged.entries()
         written = Archive()
         for idx in sorted(keep):
@@ -308,22 +289,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
             written.add(e.profit, e.time, e.solution)
 
     hv = _hypervolume(written.points(), bounds)
-    report = RunReport(
-        instance=inst.name,
-        config={**asdict(config), "alpha_dist": config.alpha_dist.value},
-        runs=args.runs,
-        wall_time=wall,
-        cycles=tracer.cycles,
-        front_size=front_size,
-        front_size_written=len(written),
-        bounds=bounds.as_dict(),
-        hypervolume=hv,
-        trace=tracer.hv_trace(bounds),
-    )
+    report = {
+        "instance": inst.name,
+        "config": {**asdict(config), "alpha_dist": config.alpha_dist.value},
+        "runs": args.runs,
+        "wall_time": wall,
+        "cycles": tracer.cycles,
+        "front_size": front_size,
+        "front_size_written": len(written),
+        "bounds": bounds.as_dict(),
+        "hypervolume": hv,
+        "trace": tracer.hv_trace(bounds),
+    }
 
     write_front_csv(out_dir / "front.csv", written)
     write_solutions(out_dir / "solutions.txt", written)
-    (out_dir / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(
         f"{inst.name}: front {len(written)}/{front_size}, hypervolume {hv:.6f}, "
         f"{wall:.1f}s -> {out_dir}"
@@ -336,22 +317,21 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _add_hv_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("fronts", nargs="+", help="front CSV files to score")
-    p.add_argument(
+    bounds = p.add_mutually_exclusive_group(required=True)
+    bounds.add_argument(
         "--bounds",
         nargs=4,
         type=float,
         metavar=("PROFIT_MIN", "PROFIT_MAX", "TIME_MIN", "TIME_MAX"),
         help="normalization bounds shared by all fronts",
     )
-    p.add_argument(
+    bounds.add_argument(
         "--bounds-file",
         help="JSON with profit_min/profit_max/time_min/time_max (a report.json works)",
     )
 
 
 def _load_bounds(args: argparse.Namespace) -> ObjectiveBounds:
-    if (args.bounds is None) == (args.bounds_file is None):
-        raise _UsageError("hv: provide exactly one of --bounds and --bounds-file")
     if args.bounds is not None:
         gmin, gmax, hmin, hmax = args.bounds
     else:
@@ -375,16 +355,9 @@ def _load_bounds(args: argparse.Namespace) -> ObjectiveBounds:
     return ObjectiveBounds(gmin, gmax, hmin, hmax)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def cmd_hv(args: argparse.Namespace) -> int:
     try:
         bounds = _load_bounds(args)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return USAGE_ERROR
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"hv: {exc}", file=sys.stderr)
         return INPUT_ERROR

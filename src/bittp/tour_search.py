@@ -123,7 +123,9 @@ class _Descent:
         leave the queue clean.  After the queue drains, a verification
         sweep rescans every city in index order, in blocks too; the descent
         only ends on a completely clean sweep, so the result is guaranteed
-        move-free with respect to the candidate lists.
+        move-free with respect to the candidate lists.  Every move shortens
+        the tour by at least 1, so the descent makes at most as many moves
+        as its starting tour is long, and raises ``RuntimeError`` past that.
         """
         n = self.n = order.shape[0]
         self.order = order
@@ -134,10 +136,14 @@ class _Descent:
         head = 0
         size = n
         queued = np.ones(n, dtype=bool)
+        budget = float(self.leg.sum())
 
-        def push(touched) -> None:
-            nonlocal size
-            for city in touched:
+        def move(span) -> None:
+            nonlocal size, budget
+            budget -= 1
+            if budget < 0:
+                raise RuntimeError("tour descent: more moves than the starting tour length")
+            for city in self.apply(span):
                 if not queued[city]:
                     ring[(head + size) % n] = city
                     queued[city] = True
@@ -152,7 +158,7 @@ class _Descent:
                 head = (head + popped) % n
                 size -= popped
                 if found is not None:
-                    push(self.apply(found[1]))
+                    move(found[1])
             clean = True
             start = 0
             while start < n:
@@ -160,7 +166,7 @@ class _Descent:
                 if found is None:
                     start += BLOCK
                     continue
-                push(self.apply(found[1]))
+                move(found[1])
                 clean = False
                 start += found[0] + 1
             if clean:

@@ -15,8 +15,10 @@ and ``sequential_descent``, the tour descent's original city-by-city
 scan, which ``sequential_construct_tour`` starts from the solver's
 nearest-neighbor tour; ``sequential_two_opt_exploit``, the 2-opt
 exploitation's original scan over every position, pricing one flipped tour
-at a time with ``weighted_objective``; and
-``sequential_average_pair_distance``, its one-city-at-a-time exact sum.
+at a time with ``weighted_objective``;
+``sequential_average_pair_distance``, its one-city-at-a-time exact sum; and
+``sequential_subset_select``, subset selection's original cell-by-cell
+dynamic program.
 """
 
 from __future__ import annotations
@@ -198,6 +200,35 @@ def brute_best_subset_hv(points, k, ref=(0.0, 1.0)):
         for combo in itertools.combinations(idx, size):
             best = max(best, rect_hypervolume([points[i] for i in combo], ref))
     return best
+
+
+def sequential_subset_select(points, k, ref=(0.0, 1.0)):
+    """``subset_select`` as its original dynamic program, one numpy call per
+    (count, point) cell: ``best[i, c]`` is the best hypervolume with point i
+    the rightmost of c + 1 chosen, the first of the maxima on ties."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    n = pts.shape[0]
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    if k >= n:
+        return [int(i) for i in order]
+    g = pts[order, 0]
+    height = ref[1] - pts[order, 1]
+    best = np.full((n, k), -np.inf)
+    parent = np.full((n, k), -1, dtype=np.int64)
+    best[:, 0] = (g - ref[0]) * height
+    for c in range(1, k):
+        for i in range(c, n):
+            gains = best[:i, c - 1] + (g[i] - g[:i]) * height[i]
+            j = int(np.argmax(gains))
+            best[i, c] = gains[j]
+            parent[i, c] = j
+    i, c = divmod(int(np.argmax(best)), k)
+    chosen = []
+    while i >= 0:
+        chosen.append(i)
+        i = int(parent[i, c])
+        c -= 1
+    return [int(order[i]) for i in reversed(chosen)]
 
 
 def monte_carlo_hypervolume(points, n_samples, rng):

@@ -20,6 +20,7 @@ from oracles import (
     dominated_filter_quadratic,
     monte_carlo_hypervolume,
     rect_hypervolume,
+    sequential_subset_select,
 )
 
 A = (100.0, 22.565217)
@@ -278,6 +279,23 @@ def test_subset_select_matches_brute_force_exactly():
         assert len(idx) <= k
         assert len(set(idx)) == len(idx)
         assert hypervolume([front[i] for i in idx]) == brute_best_subset_hv(front, k)
+
+
+def test_subset_select_matches_sequential_dynamic_program():
+    """The same indices as pricing one (count, point) cell at a time, on
+    random fronts and on fronts from a coarse grid, whose gains tie often."""
+    rng = np.random.default_rng(20)
+    for trial in range(3000):
+        n = int(rng.integers(1, 40))
+        if trial % 2:
+            front = random_front(rng, n)
+        else:
+            g = np.sort(rng.choice(np.arange(1, 17), size=min(n, 16), replace=False)) / 16
+            h = np.sort(rng.choice(np.arange(16), size=g.shape[0], replace=False)) / 16
+            front = list(zip(g.tolist(), h.tolist()))
+        front = [front[i] for i in rng.permutation(len(front))]
+        k = int(rng.integers(1, 45))
+        assert subset_select(front, k) == sequential_subset_select(front, k), (trial, k)
 
 
 def test_subset_select_input_order_independent():

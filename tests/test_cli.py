@@ -135,6 +135,18 @@ def test_report_contents(toy3_file, tmp_path):
     out = tmp_path / "out"
     _solve(toy3_file, out, "--iterations", "12", "--seed", "5")
     report = json.loads((out / "report.json").read_text())
+    assert list(report) == [
+        "instance",
+        "config",
+        "runs",
+        "wall_time",
+        "cycles",
+        "front_size",
+        "front_size_written",
+        "bounds",
+        "hypervolume",
+        "trace",
+    ]
     assert report["instance"] == "toy3"
     assert report["config"]["packings_per_tour"] == 117
     assert report["cycles"] == 12
@@ -213,6 +225,13 @@ def test_usage_errors(toy3_file, tmp_path):
     assert main(["frobnicate"]) == 1
     # bad config value propagates as usage error
     assert _solve(toy3_file, out, "--iterations", "3", "--lambda", "1.5") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-1"), ("--max-solutions", "0")])
+def test_counts_below_one_are_usage_errors(toy3_file, tmp_path, capsys, flag, value):
+    assert _solve(toy3_file, tmp_path / "o", "--iterations", "1", flag, value) == 1
+    assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_solve_bad_arguments_exit_1_or_2(toy3_file, tmp_path, capsys):

@@ -193,6 +193,22 @@ def test_construct_tour_matches_sequential_descent_n1000():
     _assert_matches_sequential(inst, 12, 16, 3)
 
 
+def test_descent_stops_on_moves_that_do_not_shorten_the_tour(monkeypatch):
+    """A wrong move (here: swapping positions 1 and 2 over and over) ends the
+    descent with an error once it has made as many moves as the starting
+    tour is long, instead of looping forever."""
+    inst = random_instance(np.random.default_rng(5), 30, 0)
+    calls = itertools.count()
+
+    def stuck(self, cities):
+        assert next(calls) < 100_000, "the descent did not stop"
+        return 0, (1, 3, self.order[1:3][::-1].copy(), ())
+
+    monkeypatch.setattr(tour_search._Descent, "first_move", stuck)
+    with pytest.raises(RuntimeError, match="starting tour length"):
+        construct_tour(inst, np.random.default_rng(0), NeighborLists.build(inst))
+
+
 def test_average_pair_distance_examples(toy3):
     assert average_pair_distance(toy3) == 4.0
     assert average_pair_distance(_inst([(0, 0), (7, 0)])) == 7.0
