@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import PackingPlan, Tour, TourContext, scalarized
+from .evaluation import PackingPlan, Tour, TourContext, _position_buckets, gain_range, scalarized
 from .instance import ProblemInstance
 
 REEVAL_EPSILON = 1e-5
@@ -98,20 +98,6 @@ def carry_distances(ctx: TourContext) -> np.ndarray:
     including the closing leg back to the start city."""
     suffix = np.cumsum(ctx.leg[::-1])[::-1]
     return suffix[ctx.item_pos]
-
-
-def _position_buckets(ctx: TourContext, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split the tour's positions into runs of ``size`` (the last may be
-    shorter): each item's bucket, each bucket's length, and each item's
-    weight times the length of its bucket's legs from its pickup position
-    on.  The lengths are summed within each bucket."""
-    n = ctx.inst.n
-    legs = np.zeros(-(-n // size) * size)
-    legs[:n] = ctx.leg
-    rest = np.cumsum(legs.reshape(-1, size)[:, ::-1], axis=1)[:, ::-1]
-    with np.errstate(over="ignore"):
-        inner = ctx.inst.weights * rest.ravel()[ctx.item_pos]
-    return ctx.item_pos // size, rest[:, 0].copy(), inner
 
 
 def _score_rows(inst: ProblemInstance, dist: np.ndarray, exponents: np.ndarray) -> np.ndarray:
@@ -405,122 +391,6 @@ def pack_tour(
         s.rank = end + 1
 
     return [PackingPlan.fitted(inst, items) for items in best_items]
-
-
-def gain_range(
-    inst: ProblemInstance,
-    empty_time: float,
-    alpha: np.ndarray,
-    profit: np.ndarray,
-    weight: np.ndarray,
-    c_profit: np.ndarray | float,
-    c_weight: np.ndarray | float,
-    length: np.ndarray,
-    c_load: np.ndarray,
-    load: np.ndarray,
-    haul: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds ``(low, high)`` on how much the computed objective of each
-    lane's new plan exceeds that of its committed one.
-
-    A lane's new plan adds picks to its committed plan: ``profit`` and
-    ``weight`` are the new plan's totals, ``c_profit`` and ``c_weight`` the
-    committed one's, and ``empty_time`` is the empty plan's travel time.
-    The tour's positions are split into consecutive buckets whose legs have
-    lengths ``length``.  Row k of ``c_load`` holds lane k's committed weight
-    picked up in each bucket, and row k of ``load`` and ``haul`` the weight
-    its new plan adds in each bucket and the sum of that weight times the
-    legs from its pickup position to the bucket's end.  "Computed" means
-    what ``scalarized`` makes of ``TourContext`` row times, with its
-    rounding, so a lane with ``low > 0`` surely wins its re-check and one
-    with ``high < 0`` surely loses it, as the priced re-check would.
-
-    :func:`pack_tour` bounds at three granularities: the whole tour as one
-    bucket, whose haul is the added items' weight times carry distance;
-    buckets of ``BUCKET_SIZE`` positions; and, for one plan's objective, the
-    empty plan as the committed one (zero committed profit, weight and
-    loads), whose computed objective is exact.
-
-    Derivation.  Let s be the speed slope and v(w) = max(v_max - s w, v_min)
-    the speed at carried weight w.  Leg i, of length d_i, is walked at
-    v(o_i) under the committed plan and v(o_i + e_i) under the new one.  If
-    it lies in bucket k, C_k <= o_i <= C'_k and A_k <= e_i <= A'_k, where
-    C_k and C'_k are the committed weight picked up before bucket k and up
-    to its end, and A_k and A'_k the added weight likewise; the last C' and
-    C' + A' are W_c and W_n, the plans' total weights.  As
-    1/v(o + e) - 1/v(o) equals (v(o) - v(o + e)) / (v(o) v(o + e)), where
-    v(o) - v(o + e) is s e, and v falls as the weight grows,
-
-        s e_i / (v(C_k) v(C_k + A_k))  <=  1/v(o_i + e_i) - 1/v(o_i)
-                                        <=  s e_i / (v(C'_k) v(C'_k + A'_k)),
-
-    except that the lower bound fails by at most the clamp at v_min, which
-    rounding in s can reach just below the capacity: by at most
-    (n + m + 2) 2**-53 v_max in speed, so (n + m + 2) 2**-53 T_0 in total
-    for the empty plan's time T_0.  An added item of weight w at position p
-    adds w to e_i for every leg i >= p, so the legs of bucket k sum d_i e_i
-    to X_k = A_k D_k + H_k, where D_k is the bucket's length and H_k its
-    ``haul``.  Summing s X_k times the two factors over the buckets,
-
-        L  <=  T_n - T_c  <=  U.
-
-    With one bucket, C = A = 0 and v(0) = v_max, so L = s X / v_max**2 and
-    U = s X / (v(W_c) v(W_n)) for X the added items' weight times their
-    carry distance.
-
-    With a = (1 - alpha) R and P = alpha * profit, the new objective
-    exceeds the committed one by dP - a (T_n - T_c), where dP = P_n - P_c,
-    so by between dP - a U and dP - a L; ``low`` and ``high`` widen these by
-    M, at least the rounding error of the two computed objectives and of
-    this arithmetic.  A computed row time sums n legs over speeds from
-    pickup weights summed from at most m items, so it is within
-    (2n + m + 4) 2**-53 (v_max / v_min) of the real one, relative.  Each C,
-    A and H sums at most m weights or products and n buckets, and D_k and
-    the lengths in H_k sum whole-number legs, exact below 2**53 and within
-    n 2**-53 relative above it, so L and U carry relative errors below
-    (5n + 3m + 12) 2**-53 (v_max / v_min).  The subtractions of the
-    objectives, of the bounds and of an empty plan's objective added to
-    them carry a few 2**-53 of P_n + P_c + a (T_n + T_c).  Both times are
-    at most T_up = T_0 v_max / v(W_n), so
-
-        M = eps (P_n + P_c + a T_up + a (L + U)) + 16 2**-1074,
-        eps = 16 (n + m + 16) (v_max / v_min) 2**-53
-
-    covers all of it with room to spare.  Below the smallest normal float a
-    product or sum rounds by up to half the fixed step 2**-1074, not
-    relatively, and eps times such terms underflows; the few of these
-    roundings in the objectives and in this arithmetic stay inside the
-    floor of 16 steps, which is lost in the rounding of any M above
-    2**-1016.  Legs are whole numbers, so T_0 is 0 (and then every X_k is
-    too) or at least 1 / v_max, and underflow in L or U stays far inside
-    M.  An overflow makes a bound or M inf or NaN, and every comparison
-    with it leaves the lane undecided.
-    """
-    v_max, v_min = inst.max_speed, inst.min_speed
-    slope = (v_max - v_min) / inst.capacity
-    eps = 16.0 * (inst.n + inst.m + 16) * (v_max / v_min) * 2.0**-53
-    with np.errstate(over="ignore", invalid="ignore"):
-        c_high = np.cumsum(c_load, axis=1)
-        added = np.cumsum(load, axis=1)
-        n_high = c_high + added
-        c_high[:, -1], n_high[:, -1] = c_weight, weight
-        c_low = np.zeros_like(c_high)
-        c_low[:, 1:] = c_high[:, :-1]
-        a_low = np.zeros_like(added)
-        a_low[:, 1:] = added[:, :-1]
-        x = a_low * length + haul
-        v_c_low = np.maximum(v_max - slope * c_low, v_min)
-        v_n_low = np.maximum(v_max - slope * (c_low + a_low), v_min)
-        v_c_high = np.maximum(v_max - slope * c_high, v_min)
-        v_now = np.maximum(v_max - slope * n_high, v_min)
-        lower = (slope / (v_c_low * v_n_low) * x).sum(axis=1)
-        upper = (slope * x / (v_c_high * v_now)).sum(axis=1)
-        a = (1.0 - alpha) * inst.renting_rate
-        p_new, p_commit = alpha * profit, alpha * c_profit
-        gain = p_new - p_commit
-        t_up = empty_time * v_max / v_now[:, -1]
-        margin = eps * (p_new + p_commit + a * t_up + a * (lower + upper)) + 16 * 2.0**-1074
-        return gain - a * upper - margin, gain - a * lower + margin
 
 
 def _next_fit(

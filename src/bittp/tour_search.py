@@ -9,7 +9,9 @@ prices every candidate move of ``BLOCK`` cities, the first city in queue
 order that has an improving move makes its first move, and the cities
 before it count as clean.  The tours equal those of checking one city at
 a time, and no distance matrix is built: every distance, here as
-elsewhere, comes from :meth:`ProblemInstance.pair_distances`.
+elsewhere, comes from :meth:`ProblemInstance.pair_distances`, and those
+from each city to its candidates are built once per run, with the
+candidate lists (:class:`NeighborLists`).
 Exploitation looks at the 2-opt neighbors of an incumbent tour, keeps
 those whose cycle length grows by at most ``tolerance * average pair
 distance``, and returns the admissible neighbor with the best scalarized
@@ -42,9 +44,11 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class NeighborLists:
-    """For each city, its k nearest other cities, sorted by distance."""
+    """For each city, its k nearest other cities, sorted by distance, and
+    the rounded distances to them; both read-only and built once per run."""
 
     indices: np.ndarray  # (n, k) city indices
+    distances: np.ndarray  # (n, k) pair_distances from each city to its neighbors
 
     @classmethod
     def build(cls, inst: ProblemInstance, k: int = DEFAULT_NEIGHBORS) -> "NeighborLists":
@@ -58,8 +62,10 @@ class NeighborLists:
         # row's last entry is the one dropped.
         keep = np.argsort(idx == np.arange(n)[:, None], axis=1, kind="stable")
         out = np.ascontiguousarray(np.take_along_axis(idx, keep, axis=1)[:, :k])
+        dist = inst.pair_distances(np.arange(n)[:, None], out)
         out.setflags(write=False)
-        return cls(out)
+        dist.setflags(write=False)
+        return cls(out, dist)
 
     @property
     def k(self) -> int:
@@ -98,10 +104,11 @@ def _nearest_neighbor_order(
 class _Descent:
     """2-opt + Or-opt descent of one tour, with the geometry it reuses.
 
-    ``near[a, t]`` is the distance from ``a`` to its ``t``-th neighbor, and
-    while a tour descends ``leg[t]`` is the length of the edge leaving
-    position ``t``; both are lookups where the one-city scan recomputed
-    distances, and the others come from ``inst.pair_distances``.  Every
+    ``near[a, t]`` is the distance from ``a`` to its ``t``-th neighbor, read
+    from the run's neighbor lists, where it is built once per run; while a
+    tour descends ``leg[t]`` is the length of the edge leaving position
+    ``t``.  Both are lookups where the one-city scan recomputed distances,
+    and the others come from ``inst.pair_distances``.  Every
     distance is an integer held in a float64, so each gain and each
     ``> 0.5`` test is exact in any evaluation order and agrees with
     pricing the moves one city at a time.  A 2-opt and an Or-opt move
@@ -112,7 +119,7 @@ class _Descent:
     def __init__(self, inst: ProblemInstance, neighbors: NeighborLists):
         self.inst = inst
         self.nbr = neighbors.indices
-        self.near = inst.pair_distances(np.arange(inst.n)[:, None], self.nbr)
+        self.near = neighbors.distances
 
     def descend(self, order: np.ndarray) -> np.ndarray:
         """Descend ``order`` (changed in place) to a local optimum and return it.
@@ -197,19 +204,19 @@ class _Descent:
         # 2-opt, forward then backward along axis 1: a neighbor c of a is a
         # candidate while it is nearer to a than the tour neighbor b whose
         # edge the move removes.  Row-major order over (city, direction,
-        # neighbor) is the order of the one-city scan.
+        # neighbor) is the order of the one-city scan, so the first candidate
+        # in that order that gains is its move.
         edge_a = i[:, None] + _EDGE
         b = order.take(i[:, None] + _STEP, mode="wrap")
         d_ab = leg.take(edge_a, mode="wrap")
         edge_c = j[:, None, :] + _EDGE[:, None]
         d2 = order.take(j[:, None, :] + _STEP[:, None], mode="wrap")
         closer = np.logical_and.accumulate(d_ac[:, None, :] < d_ab[:, :, None], axis=2)
-        r, s, t = np.nonzero(closer)
-        gain = d_ab[r, s] + leg.take(edge_c[r, s, t], mode="wrap") - d_ac[r, t]
-        gain -= dist(b[r, s], d2[r, s, t])
-        hits = np.flatnonzero(gain > 0.5)
+        gain = d_ab[:, :, None] + leg.take(edge_c, mode="wrap") - d_ac[:, None, :]
+        gain -= dist(b[:, :, None], d2)
+        hits = np.flatnonzero(closer & (gain > 0.5))
         if hits.size:
-            r, s, t = r[hits[0]], s[hits[0]], t[hits[0]]
+            r, s, t = np.unravel_index(hits[0], closer.shape)
             limit = int(r)
             lo, hi = sorted((int(edge_a[r, s]) % n + 1, int(edge_c[r, s, t]) % n + 1))
             touched = (int(cities[r]), int(b[r, s]), int(c[r, t]), int(d2[r, s, t]))
@@ -230,19 +237,15 @@ class _Descent:
         prev = order.take(ii - 1)
         nxt = order.take(end + 1, mode="wrap")
         removal = (leg.take(ii - 1) + leg.take(end) - dist(prev, nxt))[:, :, None]
-        near_c = np.broadcast_to(c[:limit, None, :], (limit, 3, k))
-        tail_nbr = nbr.take(tail, axis=0)
-        cand = np.concatenate((near_c, tail_nbr), axis=2)
+        # Candidates along axis 2: the neighbors of the head, then the tail's.
+        head_nbr = np.broadcast_to(c[:limit, None, :], (limit, 3, k))
+        cand = np.concatenate((head_nbr, nbr.take(tail, axis=0)), axis=2)
         jc = pos.take(cand)
         cnxt = order.take(jc + 1, mode="wrap")
         base = leg.take(jc)
         tail = tail[:, :, None]
-        to_head = np.concatenate(
-            (np.broadcast_to(d_ac[:limit, None, :], (limit, 3, k)), dist(tail_nbr, head)), axis=2
-        )
-        to_tail = np.concatenate((dist(near_c, tail), near.take(tail[:, :, 0], axis=0)), axis=2)
-        cost_fwd = to_head + dist(tail, cnxt) - base
-        cost_rev = to_tail + dist(head, cnxt) - base
+        cost_fwd = dist(cand, head) + dist(tail, cnxt) - base
+        cost_rev = dist(cand, tail) + dist(head, cnxt) - base
         seg_end = ii[:, :, None] + _SEG[:, None]  # one past the segment
         hit = (
             (ii[:, :, None] >= 1)
@@ -253,8 +256,7 @@ class _Descent:
         )
         hits = np.flatnonzero(hit)
         if hits.size:
-            r, rest = divmod(int(hits[0]), 3 * 2 * k)
-            seg, t = divmod(rest, 2 * k)
+            r, seg, t = (int(x) for x in np.unravel_index(hits[0], hit.shape))
             touched = (
                 int(cities[r]),
                 int(tail[r, seg, 0]),
@@ -303,7 +305,8 @@ def construct_tour(
 ) -> Tour:
     """Build a tour: nearest-neighbor from a random start, then chained descent.
 
-    ``neighbors`` are the candidate lists of both, built once per run.
+    ``neighbors`` are the candidate lists of both, with their distances,
+    built once per run.
     After the first descent the tour is perturbed ``kicks`` times by a
     double-bridge move and re-descended, ending in whatever local optimum
     the walk reaches; successive calls therefore sample diverse local

@@ -85,6 +85,26 @@ def test_neighbor_lists_equal_per_city_loop(k, span):
         assert (idx != np.arange(60)[:, None]).all(axis=1).any()
 
 
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("span", [2, 4, 1000])
+def test_neighbor_lists_are_the_k_nearest(k, span):
+    """Whatever order equidistant neighbors take: each row holds k distinct
+    other cities whose squared distances are the k smallest, sorted, and
+    its distances are ``pair_distances`` to them bit for bit.  Small spans
+    make ties and duplicate points."""
+    rng = np.random.default_rng(100 * span + k)
+    coords = rng.integers(0, span, size=(60, 2)).astype(float)
+    inst = _inst(coords)
+    nbr = NeighborLists.build(inst, k=k)
+    assert not nbr.indices.flags.writeable and not nbr.distances.flags.writeable
+    for i in range(60):
+        row = nbr.indices[i]
+        assert i not in row and np.unique(row).size == k
+        squared = ((coords - coords[i]) ** 2).sum(axis=1)
+        assert np.array_equal(squared[row], np.sort(np.delete(squared, i))[:k])
+        assert nbr.distances[i].tobytes() == inst.pair_distances(i, row).tobytes()
+
+
 def test_distance_matrix_matches_scalar(toy3):
     mat = distance_matrix(toy3)
     dist = _scalar_dist(toy3)
