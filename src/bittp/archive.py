@@ -52,14 +52,6 @@ class ObjectiveBounds:
         self.time_min = min(self.time_min, other.time_min)
         self.time_max = max(self.time_max, other.time_max)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "profit_min": self.profit_min,
-            "profit_max": self.profit_max,
-            "time_min": self.time_min,
-            "time_max": self.time_max,
-        }
-
 
 class Entry(NamedTuple):
     profit: float

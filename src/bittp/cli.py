@@ -297,14 +297,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "cycles": tracer.cycles,
         "front_size": front_size,
         "front_size_written": len(written),
-        "bounds": bounds.as_dict(),
+        "bounds": asdict(bounds),
         "hypervolume": hv,
         "trace": tracer.hv_trace(bounds),
     }
 
-    write_front_csv(out_dir / "front.csv", written)
-    write_solutions(out_dir / "solutions.txt", written)
-    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    try:
+        write_front_csv(out_dir / "front.csv", written)
+        write_solutions(out_dir / "solutions.txt", written)
+        (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"solve: cannot write outputs: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     print(
         f"{inst.name}: front {len(written)}/{front_size}, hypervolume {hv:.6f}, "
         f"{wall:.1f}s -> {out_dir}"

@@ -66,10 +66,11 @@ def sample_alpha(dist: AlphaDistribution, rng: np.random.Generator) -> float:
 class WsmConfig:
     """Run parameters.  Defaults are the averaged tuned configuration.
 
-    Exactly one of ``time_limit`` (seconds) and ``iterations`` (cycle
-    count, for reproducible runs) must be set.  A ``two_opt_tolerance``
-    of -inf disables the 2-opt phase, and NaN is rejected;
-    ``flip_probability`` 0 disables bit flips.  ``seed`` must be >= 0.
+    Exactly one of ``time_limit`` (seconds, positive and finite) and
+    ``iterations`` (cycle count, for reproducible runs) must be set.  A
+    ``two_opt_tolerance`` of -inf disables the 2-opt phase, and NaN is
+    rejected; ``flip_probability`` 0 disables bit flips.  ``seed`` must be
+    >= 0.
     """
 
     alpha_dist: AlphaDistribution = AlphaDistribution.UNIFORM
@@ -95,8 +96,8 @@ class WsmConfig:
             raise ValueError("flip_probability must be in [0, 1]")
         if (self.time_limit is None) == (self.iterations is None):
             raise ValueError("set exactly one of time_limit and iterations")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.seed < 0:
@@ -206,7 +207,7 @@ def run(
         # Exploitation: improve the best archived solution for a fresh alpha.
         alpha = sample_alpha(config.alpha_dist, rngs["alpha"])
         pivot = archive.best_for_alpha(alpha, inst.renting_rate).solution
-        improved = two_opt_exploit(inst, pivot, alpha, config.two_opt_tolerance, ell)
+        improved = two_opt_exploit(inst, pivot, alpha, config.two_opt_tolerance, ell, neighbors)
         if improved is not None:
             sol = Solution.evaluated(inst, improved, pivot.plan, alpha)
             archive.add(sol.profit, sol.time, sol)

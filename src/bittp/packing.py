@@ -56,7 +56,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .evaluation import PackingPlan, Tour, TourContext, _position_buckets, gain_range, scalarized
+from .evaluation import CHUNK_CELLS, PackingPlan, Tour, TourContext, _position_buckets, gain_range, scalarized
 from .instance import ProblemInstance
 
 REEVAL_EPSILON = 1e-5
@@ -65,13 +65,8 @@ REEVAL_EPSILON = 1e-5
 # of packings in flight.  A cell costs 5 bytes, an int32 item and a boolean
 # pick per rank, so 2**20 cells keep the lanes near 5 MB; a step's window
 # arrays are no larger, as a window spans at most m ranks of each lane.
-# 2**19 to 2**21 packed alike at n=280 and n=4461.  CHUNK_CELLS bounds the
-# cells of the (rows, n) pickup weights that a re-check prices at once: each
-# float64 temporary stays near 128 KB, and a chunk reads each plan's picks
-# only up to its own limit.  At n=4461, 2**14 and 2**15 packed fastest,
-# ahead of 2**13 and 2**16 to 2**18.
+# 2**19 to 2**21 packed alike at n=280 and n=4461.
 LANE_CELLS = 1 << 20
-CHUNK_CELLS = 1 << 14
 # BUCKET_SIZE is the number of tour positions per bucket of the weight
 # profiles that bound the re-checks the one-bucket bound leaves open, and the
 # objectives of lanes that end unpriced (gain_range), so a profile costs a

@@ -12,21 +12,24 @@ a time, and no distance matrix is built: every distance, here as
 elsewhere, comes from :meth:`ProblemInstance.pair_distances`, and those
 from each city to its candidates are built once per run, with the
 candidate lists (:class:`NeighborLists`).
+
 Exploitation looks at the 2-opt neighbors of an incumbent tour, keeps
 those whose cycle length grows by at most ``tolerance * average pair
 distance``, and returns the admissible neighbor with the best scalarized
 objective if it strictly improves.  An admissible move joins cities near
-the ends of the edges it removes, so two fixed-radius ball queries on a
-k-d tree find every one of them without a scan over all pairs; one call
-prices every admissible move, each entry equal to a full evaluation of
-its flipped tour.
+the ends of the edges it removes, so two fixed-radius ball queries find
+every one of them without a scan over all pairs.  They search the k-d
+tree that built the candidate lists, the run's one spatial index
+(:meth:`NeighborLists.near`), so exploitation builds no tree of its own.
+One call prices every admissible move, each entry equal to a full
+evaluation of its flipped tour.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -45,10 +48,20 @@ NEG_INF = float("-inf")
 @dataclass(frozen=True)
 class NeighborLists:
     """For each city, its k nearest other cities, sorted by distance, and
-    the rounded distances to them; both read-only and built once per run."""
+    the rounded distances to them; both read-only and built once per run.
+
+    The k-d tree that found them stays with them as the run's one spatial
+    index: :meth:`near` answers the fixed-radius queries of the 2-opt
+    exploitation from it.
+    """
 
     indices: np.ndarray  # (n, k) city indices
     distances: np.ndarray  # (n, k) pair_distances from each city to its neighbors
+    tree: cKDTree = field(compare=False, repr=False)
+    # What near() widens a radius by: one unit for the rounding of a
+    # distance, and the float error of the tree's distances at huge
+    # coordinates, measured on the bounding box's diagonal.
+    slack: float
 
     @classmethod
     def build(cls, inst: ProblemInstance, k: int = DEFAULT_NEIGHBORS) -> "NeighborLists":
@@ -65,11 +78,25 @@ class NeighborLists:
         dist = inst.pair_distances(np.arange(n)[:, None], out)
         out.setflags(write=False)
         dist.setflags(write=False)
-        return cls(out, dist)
+        return cls(out, dist, tree, 1.0 + math.hypot(*np.ptp(inst.coords, axis=0)) * 2.0**-40)
 
     @property
     def k(self) -> int:
         return self.indices.shape[1]
+
+    def near(self, points: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, city)`` for every city whose rounded distance to
+        ``points[row]`` can be at most ``radius[row]``.
+
+        The ball around each point is ``radius`` widened by ``slack`` and
+        clipped at 0, so it holds every city whose
+        :meth:`ProblemInstance.pair_distances` is within the radius, and
+        possibly more; callers filter with the rounded distances.
+        """
+        found = self.tree.query_ball_point(points, np.maximum(radius + self.slack, 0.0))
+        counts = np.fromiter(map(len, found), dtype=np.int64, count=found.shape[0])
+        cities = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
+        return np.repeat(np.arange(found.shape[0]), counts), cities
 
 
 def distance_matrix(inst: ProblemInstance) -> np.ndarray:
@@ -364,20 +391,13 @@ def average_pair_distance(
     return total / sample_size
 
 
-def _near_pairs(tree: cKDTree, points: np.ndarray, radius: np.ndarray):
-    """``(k, city)`` for every city within ``radius[k]`` of ``points[k]``."""
-    found = tree.query_ball_point(points, radius)
-    counts = np.fromiter(map(len, found), dtype=np.int64, count=found.shape[0])
-    cities = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=int(counts.sum()))
-    return np.repeat(np.arange(found.shape[0]), counts), cities
-
-
 def two_opt_exploit(
     inst: ProblemInstance,
     sol: Solution,
     alpha: float,
     tolerance: float,
     avg_pair_distance: float,
+    neighbors: NeighborLists,
 ) -> Tour | None:
     """Best admissible 2-opt neighbor of ``sol``'s tour, or None.
 
@@ -391,13 +411,15 @@ def two_opt_exploit(
     (c, d) that enter position i and leave position j, and adds (a, c)
     and (b, d).  Its length change is at most the limit L only if
     d(a, c) <= d(a, b) + L/2 or d(b, d) <= d(c, d) + L/2, so two
-    fixed-radius ball queries on a k-d tree of the cities, around each a
-    and each d with one unit of slack for rounding, find every admissible
-    move (Bentley's fixed-radius search).  The candidates are filtered
-    with the rounded distances, in the operations of a scan over all
-    pairs.  The pivot's one :class:`TourContext` prices the incumbent and,
-    in one :meth:`TourContext.reversal_times` call, every admissible move,
-    so the result is the one of pricing each flipped tour with
+    fixed-radius ball queries around each a and each d find every
+    admissible move (Bentley's fixed-radius search).  ``neighbors`` are
+    the candidate lists of ``inst``, built once per run; their
+    :meth:`NeighborLists.near` answers the queries, so a call builds no
+    tree.  The candidates are filtered with the rounded distances, in the
+    operations of a scan over all pairs.  The pivot's one
+    :class:`TourContext` prices the incumbent and, in one
+    :meth:`TourContext.reversal_times` call, every admissible move, so the
+    result is the one of pricing each flipped tour with
     ``weighted_objective``.
     """
     if tolerance == NEG_INF:
@@ -414,13 +436,11 @@ def two_opt_exploit(
 
     # Candidates: the cities c near each a = order[p] give the moves
     # (p + 1, pos[c]); the cities b near each d = order[q] give the moves
-    # (pos[b], q - 1).  The slack also covers float error at huge coordinates.
-    slack = 1.0 + math.hypot(*np.ptp(inst.coords, axis=0)) * 2.0**-40
-    radius = np.maximum(leg + (limit / 2 + slack), 0.0)
-    tree = cKDTree(inst.coords)
+    # (pos[b], q - 1).
+    radius = leg + limit / 2
     points = inst.coords[order]
-    p, c = _near_pairs(tree, points, radius)
-    q, b = _near_pairs(tree, points, np.roll(radius, 1))
+    p, c = neighbors.near(points, radius)
+    q, b = neighbors.near(points, np.roll(radius, 1))
     i = np.concatenate((p + 1, pos[b]))
     j = np.concatenate((pos[c], (q - 1) % n))
     # (1, n-1) reverses the whole cycle: not a 2-opt move

@@ -248,6 +248,29 @@ def test_solve_bad_arguments_exit_1_or_2(toy3_file, tmp_path, capsys):
         assert "cannot make the output directory" in capsys.readouterr().err
 
 
+def test_solve_infinite_time_limit_is_a_usage_error(toy3_file, tmp_path, capsys, monkeypatch):
+    """Rejected before the solver starts: with ``run`` made to fail, an
+    accepted limit would show as an internal error, not a hang."""
+    import bittp.cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(bittp.cli, "run", no_run)
+    assert _solve(toy3_file, tmp_path / "o", "--time-limit", "inf") == 1
+    assert "time_limit must be positive and finite" in capsys.readouterr().err
+
+
+def test_solve_unwritable_output_is_input_error(toy3_file, tmp_path, capsys):
+    """An output file that cannot be written, here because a directory has
+    its name, is an input error with a ``solve:`` line, not exit 3."""
+    out = tmp_path / "out"
+    (out / "front.csv").mkdir(parents=True)
+    assert _solve(toy3_file, out, "--iterations", "2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solve: cannot write outputs:") and "internal error" not in err
+
+
 def test_solve_tiny_time_limit_writes_a_scorable_front(toy3_file, tmp_path, capsys):
     """A time limit below one cycle still runs one: the front is not empty,
     report.json is strict JSON with finite bounds, and ``bittp hv`` scores

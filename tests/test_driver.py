@@ -86,6 +86,14 @@ def test_config_rejects_negative_seed_and_nan_tolerance():
     WsmConfig(iterations=1, two_opt_tolerance=float("inf"))
 
 
+@pytest.mark.parametrize("limit", [float("inf"), float("nan")])
+def test_config_rejects_a_time_limit_not_positive_and_finite(limit):
+    """An infinite time limit would make a run that never ends."""
+    with pytest.raises(ValueError, match="time_limit must be positive and finite"):
+        WsmConfig(time_limit=limit)
+    WsmConfig(time_limit=1e300)
+
+
 def _toy3_solution(toy3, items, order=(0, 1, 2), alpha=0.5):
     tour = Tour(np.array(order))
     return Solution.evaluated(toy3, tour, PackingPlan.of(toy3, items), alpha)

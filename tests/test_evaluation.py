@@ -306,9 +306,9 @@ def test_reversal_times_equal_flipped_tour_times(seed, n, m, metric, per_chunk):
     moves = rng.permutation(int(keep.sum()))
     first, last = first[keep][moves], last[keep][moves]
     ctx = TourContext(inst, Tour(order))
-    cells = evaluation.EXPLOIT_CELLS if per_chunk is None else per_chunk * n
+    cells = evaluation.CHUNK_CELLS if per_chunk is None else per_chunk * n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluation, "EXPLOIT_CELLS", cells)
+        mp.setattr(evaluation, "CHUNK_CELLS", cells)
         got = ctx.reversal_times(ctx.weight_by_position(selected), first, last)
     want = []
     for a, b in zip(first.tolist(), last.tolist()):

@@ -50,6 +50,7 @@ def _inst(coords, **kw):
 
 
 UNIT_SQUARE = _inst([(0, 0), (1, 0), (1, 1), (0, 1)])
+SQUARE_NEIGHBORS = NeighborLists.build(UNIT_SQUARE)
 
 
 def test_neighbor_lists_sorted_no_self():
@@ -103,6 +104,49 @@ def test_neighbor_lists_are_the_k_nearest(k, span):
         squared = ((coords - coords[i]) ** 2).sum(axis=1)
         assert np.array_equal(squared[row], np.sort(np.delete(squared, i))[:k])
         assert nbr.distances[i].tobytes() == inst.pair_distances(i, row).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40),
+    span=st.sampled_from([2, 3, 10, 1000, 10**17]),
+    tenths=st.booleans(),
+    metric=st.sampled_from(["CEIL_2D", "EUC_2D"]),
+)
+def test_near_holds_every_city_within_the_radius(seed, n, span, tenths, metric):
+    """Around city points, for radii that are negative, zero, a rounded
+    distance exactly, just below one, or huge: every city whose
+    ``pair_distances`` is within the radius is returned.  Small spans make
+    duplicate points, tenths make EUC_2D distances that round down to the
+    radius, and a huge span makes the tree's float error large."""
+    rng = np.random.default_rng(seed)
+    scale = 10 if tenths else 1
+    coords = rng.integers(0, span * scale, size=(n, 2)) / scale
+    inst = _inst(coords, metric=metric)
+    neighbors = NeighborLists.build(inst)
+    centers = rng.integers(0, n, size=3 * n)
+    dist = inst.pair_distances(centers[:, None], np.arange(n))
+    picked = dist[np.arange(centers.size), rng.integers(0, n, size=centers.size)]
+    radius = np.choose(
+        rng.integers(0, 6, size=centers.size),
+        [-1.0 - picked, np.zeros_like(picked), picked, picked - 0.5, np.nextafter(picked, 0), picked * 1e6],
+    )
+    row, city = neighbors.near(inst.coords[centers], radius)
+    found = np.zeros(dist.shape, dtype=bool)
+    found[row, city] = True
+    assert found[dist <= radius[:, None]].all()
+
+
+def test_two_opt_exploit_builds_no_tree(monkeypatch):
+    """The 2-opt searches the run's one k-d tree, built with the lists."""
+    inst = random_instance(np.random.default_rng(3), 60, 60)
+    neighbors = NeighborLists.build(inst)
+    sol = Solution.evaluated(inst, Tour(np.arange(inst.n)), PackingPlan.empty(inst), 0.5)
+    built = []
+    monkeypatch.setattr(tour_search, "cKDTree", lambda *args, **kw: built.append(args))
+    two_opt_exploit(inst, sol, 0.5, 100.0, average_pair_distance(inst), neighbors)
+    assert built == []
 
 
 def test_distance_matrix_matches_scalar(toy3):
@@ -254,12 +298,12 @@ def _solution(inst, order, items, alpha):
 
 def test_two_opt_exploit_n3_has_no_neighbors(toy3):
     sol = _solution(toy3, [0, 1, 2], [], 0.5)
-    assert two_opt_exploit(toy3, sol, 0.5, 100.0, 4.0) is None
+    assert two_opt_exploit(toy3, sol, 0.5, 100.0, 4.0, NeighborLists.build(toy3)) is None
 
 
 def test_two_opt_exploit_disabled_by_sentinel():
     sol = _solution(UNIT_SQUARE, [0, 2, 1, 3], [], 0.0)
-    assert two_opt_exploit(UNIT_SQUARE, sol, 0.0, NEG_INF, 1.0) is None
+    assert two_opt_exploit(UNIT_SQUARE, sol, 0.0, NEG_INF, 1.0, SQUARE_NEIGHBORS) is None
 
 
 def test_two_opt_exploit_uncrosses_square():
@@ -267,7 +311,7 @@ def test_two_opt_exploit_uncrosses_square():
     # uncrossed cycle of length 4
     sol = _solution(UNIT_SQUARE, [0, 2, 1, 3], [], 0.0)
     ell = average_pair_distance(UNIT_SQUARE)
-    better = two_opt_exploit(UNIT_SQUARE, sol, 0.0, 100.0, ell)
+    better = two_opt_exploit(UNIT_SQUARE, sol, 0.0, 100.0, ell, SQUARE_NEIGHBORS)
     assert better is not None
     assert UNIT_SQUARE.tour_length(better.order) == 4.0
 
@@ -275,7 +319,7 @@ def test_two_opt_exploit_uncrosses_square():
 def test_two_opt_exploit_requires_strict_improvement():
     sol = _solution(UNIT_SQUARE, [0, 1, 2, 3], [], 0.0)
     ell = average_pair_distance(UNIT_SQUARE)
-    assert two_opt_exploit(UNIT_SQUARE, sol, 0.0, 0.001, ell) is None
+    assert two_opt_exploit(UNIT_SQUARE, sol, 0.0, 0.001, ell, SQUARE_NEIGHBORS) is None
 
 
 def _oracle_two_opt(inst, sol, alpha, tolerance, ell):
@@ -313,7 +357,7 @@ def test_two_opt_exploit_matches_exhaustive_oracle(tolerance):
         alpha = float(rng.random())
         sol = Solution.evaluated(inst, Tour(order), plan, alpha)
         ell = average_pair_distance(inst)
-        got = two_opt_exploit(inst, sol, alpha, tolerance, ell)
+        got = two_opt_exploit(inst, sol, alpha, tolerance, ell, NeighborLists.build(inst))
         expect = _oracle_two_opt(inst, sol, alpha, tolerance, ell)
         if expect is None:
             assert got is None
@@ -328,7 +372,8 @@ def test_two_opt_exploit_never_worse():
         inst = random_instance(rng, 7, 5)
         order = np.concatenate(([0], rng.permutation(np.arange(1, inst.n))))
         sol = Solution.evaluated(inst, Tour(order), PackingPlan.empty(inst), 0.3)
-        got = two_opt_exploit(inst, sol, 0.3, 10.0, average_pair_distance(inst))
+        ell, neighbors = average_pair_distance(inst), NeighborLists.build(inst)
+        got = two_opt_exploit(inst, sol, 0.3, 10.0, ell, neighbors)
         if got is not None:
             assert weighted_objective(inst, got, sol.plan, 0.3) > weighted_objective(
                 inst, sol.tour, sol.plan, 0.3
@@ -386,7 +431,7 @@ def test_two_opt_exploit_matches_sequential_scan_property(
     order = np.concatenate(([0], rng.permutation(np.arange(1, n))))
     sol = Solution.evaluated(inst, Tour(order), plan, alpha)
     ell = 0.0 if zero_ell else average_pair_distance(inst)
-    got = two_opt_exploit(inst, sol, alpha, tolerance, ell)
+    got = two_opt_exploit(inst, sol, alpha, tolerance, ell, NeighborLists.build(inst))
     assert _same_tour(got, sequential_two_opt_exploit(inst, sol, alpha, tolerance, ell))
 
 
@@ -396,11 +441,12 @@ def test_two_opt_exploit_matches_sequential_scan_n1000(tolerance):
     this pivot has an improving admissible neighbor at both tolerances."""
     inst = random_instance(np.random.default_rng(21), 1000, 1000, coord_range=5000)
     rng = np.random.default_rng(6)
-    tour = construct_tour(inst, rng, NeighborLists.build(inst))
+    neighbors = NeighborLists.build(inst)
+    tour = construct_tour(inst, rng, neighbors)
     plan = pack_tour(inst, TourContext(inst, tour), [0.9], 12, 41, rng)[0]
     sol = Solution.evaluated(inst, tour, plan, 0.9)
     ell = average_pair_distance(inst)
-    got = two_opt_exploit(inst, sol, 0.9, tolerance, ell)
+    got = two_opt_exploit(inst, sol, 0.9, tolerance, ell, neighbors)
     assert got is not None
     assert _same_tour(got, sequential_two_opt_exploit(inst, sol, 0.9, tolerance, ell))
 
@@ -442,7 +488,7 @@ def test_two_opt_exploit_admits_moves_at_the_limit():
             continue
         delta = inst.tour_length(best.order) - inst.tour_length(order)
         found += 1
-        assert _same_tour(two_opt_exploit(inst, sol, 0.2, delta, 1.0), best)
+        assert _same_tour(two_opt_exploit(inst, sol, 0.2, delta, 1.0, NeighborLists.build(inst)), best)
     assert found
 
 
@@ -454,6 +500,6 @@ def test_two_opt_exploit_finds_moves_whose_new_edges_round_down():
     coords = [(3.3, 5.5), (5.9, 5.5), (1.1, 3.4), (3.0, 1.4), (1.2, 3.9), (1.0, 1.8)]
     inst = _inst(coords, metric="EUC_2D", profits=[1.0], weights=[9.0], item_city=[2], capacity=10)
     sol = _solution(inst, [0, 3, 2, 5, 1, 4], [0], 0.0)
-    got = two_opt_exploit(inst, sol, 0.0, 0.0, 1.0)
+    got = two_opt_exploit(inst, sol, 0.0, 0.0, 1.0, NeighborLists.build(inst))
     assert got is not None and got.order.tolist() == [0, 3, 4, 1, 5, 2]
     assert _same_tour(got, sequential_two_opt_exploit(inst, sol, 0.0, 0.0, 1.0))
